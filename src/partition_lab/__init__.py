@@ -35,7 +35,6 @@ from .maps import (
     sylvester_stats_check,
 )
 from .qseries import (
-    INFINITY,
     LaurentPoly,
     Monomial,
     MultiSeries,
@@ -64,8 +63,7 @@ from .shapes import (
 )
 from .verify import (
     FamilySpec,
-    count_A1,
-    count_A2,
+    count_A,
     count_B,
     count_D,
     enumerate_family,

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Thin shell over the library: parse arguments, call one function, print.
-Exit codes: 0 success/PASS, 1 FAIL (witness printed), 2 usage error.
+Exit codes: 0 success/PASS, 1 FAIL (witness printed) or output pipe closed
+early, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import maps, qseries, verify
@@ -123,20 +123,9 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("PARTITION_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"PARTITION_LAB_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
-
-
 def _cmd_verify(args) -> int:
     if args.checker == "all":
-        reports = verify.verify_all(profile=args.profile, max_workers=_max_workers())
+        reports = verify.verify_all(profile=args.profile)
     else:
         overrides = {}
         if args.nmax is not None:
@@ -242,7 +231,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -98,7 +98,7 @@ def parse(text: str) -> Partition:
     parts = []
     for token in body.split("+"):
         token = token.strip()
-        if not token.isdigit() or int(token) < 1:
+        if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise ValueError(f"bad part {token!r} in partition literal {text!r}")
         parts.append(int(token))
     for a, b in zip(parts, parts[1:]):

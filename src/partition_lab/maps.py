@@ -121,7 +121,7 @@ def parse_labeled(text: str) -> LabeledPartition:
         token = token.strip()
         is_x = token.endswith("x")
         digits = token[:-1] if is_x else token
-        if not digits.isdigit() or int(digits) < 1:
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
             raise ValueError(f"bad part {token!r} in labeled literal {text!r}")
         entries.append((int(digits), is_x))
     return LabeledPartition(entries)
@@ -290,6 +290,8 @@ def _pair_sort_key(pair: SignedPair):
 
 def involution_table(n: int) -> str:
     """Two-column table pairing every negative pair with its image."""
+    if n < 0:
+        raise ValueError(f"total size must be nonnegative, got {n}")
     lines = ["- | +"]
     negatives = sorted(
         (p for p in enumerate_pairs(n) if p.sign < 0), key=_pair_sort_key
@@ -332,7 +334,8 @@ def sylvester(p: Partition) -> Partition:
     if image[-1] == 0:
         image.pop()
     result = Partition(image)
-    assert result.is_strict() and result.size == p.size, f"hooks of {p} gave {result}"
+    if not result.is_strict() or result.size != p.size:
+        raise RuntimeError(f"hooks of {p} gave {result}, not a strict partition of {p.size}")
     return result
 
 
@@ -395,7 +398,8 @@ def glaisher(p: Partition) -> Partition:
             count >>= 1
             e += 1
     result = Partition(parts)
-    assert result.is_strict() and result.size == p.size
+    if not result.is_strict() or result.size != p.size:
+        raise RuntimeError(f"glaisher({p}) gave {result}, not a strict partition of {p.size}")
     return result
 
 
@@ -420,8 +424,10 @@ def lemma51_decompose(p: Partition) -> tuple[Partition, Partition]:
             sigma.append(i)
     tau = Partition(part for part in work if part)
     sigma_p = Partition(sigma)
-    assert sigma_p.is_strict() and all(part % 2 == 0 for part in tau.parts)
-    assert sigma_p.length == parity_index(p.parts[::-1])
+    if not sigma_p.is_strict() or any(part % 2 for part in tau.parts):
+        raise RuntimeError(f"odd-gap decomposition of {p} gave {sigma_p}, {tau}")
+    if sigma_p.length != parity_index(p.parts[::-1]):
+        raise RuntimeError(f"odd-gap decomposition of {p} misses its parity index")
     return sigma_p, tau
 
 

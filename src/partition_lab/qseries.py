@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .report import VerificationReport
+from .report import VerificationReport, series_report
 
 Key = tuple[int, int, int]  # (q-exponent, x-exponent, y-exponent)
 
@@ -78,10 +78,6 @@ class MultiSeries:
         cls, coeff: int, order: int, *, q: int = 0, x: int = 0, y: int = 0, **trunc
     ) -> "MultiSeries":
         return cls(order, {(q, x, y): coeff}, **trunc)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, order: int, **trunc) -> "MultiSeries":
-        return cls(order, {(m.q, m.x, m.y): m.coeff}, **trunc)
 
     # -- ring operations ----------------------------------------------------
 
@@ -191,7 +187,10 @@ class MultiSeries:
             result = result + power
             power = power * u
             steps += 1
-            assert steps <= bound + 1
+            if steps > bound + 1:
+                raise RuntimeError(
+                    f"geometric inverse did not terminate within {bound + 1} steps"
+                )
         return result * c
 
     # -- inspection ----------------------------------------------------------
@@ -234,9 +233,6 @@ class MultiSeries:
 
     def __repr__(self) -> str:
         return f"<MultiSeries order={self.order} terms={len(self.terms)}>"
-
-
-INFINITY = None  # alias for pochhammer's unbounded factor count
 
 
 def pochhammer(
@@ -327,15 +323,16 @@ def gauss_binomial(
     return MultiSeries(order, terms, xorder=xorder, yorder=yorder)
 
 
-def _inverse_factorials(count: int, step: int, order: int) -> list[MultiSeries]:
-    """[1/(q^step; q^step)_n for n in 0..count] as truncated series."""
-    inverses = [MultiSeries.one(order)]
-    product = MultiSeries.one(order)
+def _inverse_factorials(count: int, step: int, order: int, **trunc) -> list[MultiSeries]:
+    """[1/(q^step; q^step)_n for n in 0..count] as truncated series; ``trunc``
+    takes the ``xorder``/``yorder`` truncation keywords."""
+    inverses = [MultiSeries.one(order, **trunc)]
+    product = MultiSeries.one(order, **trunc)
     for n in range(1, count + 1):
         shift = step * n
         if shift <= order:
             product = product * (
-                MultiSeries.one(order) - MultiSeries.term(1, order, q=shift)
+                MultiSeries.one(order, **trunc) - MultiSeries.term(1, order, q=shift, **trunc)
             )
         inverses.append(product.invert())
     return inverses
@@ -346,13 +343,16 @@ def _inverse_factorials(count: int, step: int, order: int) -> list[MultiSeries]:
 
 def _assert_y_bounded(series: MultiSeries) -> MultiSeries:
     # every series built here weights y by a partition length, so y <= q
-    assert all(y <= q for (q, _x, y) in series.terms)
+    if any(y > q for (q, _x, y) in series.terms):
+        raise RuntimeError("built series has a y-exponent above its q-exponent")
     return series
 
 
-def build_sol_length_gf(order: int) -> MultiSeries:
-    """Strict partitions weighted x^(odd-run count) y^length q^size, as the
-    double sum over run data (i odd runs, j even-run pairs)."""
+def build_run_double_sum_gf(order: int, x_weight) -> MultiSeries:
+    """Strict partitions as the double sum over run data (i odd runs, j
+    even-run pairs), each term weighted x^x_weight(i, j) y^length q^size.
+
+    x_weight(i, j) = i counts odd runs; i + j counts the 2-measure."""
     total = MultiSeries.zero(order)
     inv1 = _inverse_factorials(order, 1, order)
     inv2 = _inverse_factorials(order, 2, order)
@@ -363,27 +363,7 @@ def build_sol_length_gf(order: int) -> MultiSeries:
             exponent = i * i + 2 * i * j + 2 * j * j + j
             if exponent > order:
                 break
-            head = MultiSeries.term(1, order, q=exponent, x=i, y=i + 2 * j)
-            total = total + head * inv1[i] * inv2[j]
-            j += 1
-        i += 1
-    return _assert_y_bounded(total)
-
-
-def build_double_sum_gf(order: int) -> MultiSeries:
-    """Same double sum with x weighting i + j: strict partitions counted by
-    x^(2-measure) y^length q^size."""
-    total = MultiSeries.zero(order)
-    inv1 = _inverse_factorials(order, 1, order)
-    inv2 = _inverse_factorials(order, 2, order)
-    i = 0
-    while i * i <= order:
-        j = 0
-        while True:
-            exponent = i * i + 2 * i * j + 2 * j * j + j
-            if exponent > order:
-                break
-            head = MultiSeries.term(1, order, q=exponent, x=i + j, y=i + 2 * j)
+            head = MultiSeries.term(1, order, q=exponent, x=x_weight(i, j), y=i + 2 * j)
             total = total + head * inv1[i] * inv2[j]
             j += 1
         i += 1
@@ -495,9 +475,9 @@ def build_alt_durfee_gf(order: int) -> MultiSeries:
 
 
 _BUILDERS = {
-    "LHS_THM11": (build_double_sum_gf, ()),
+    "LHS_THM11": (lambda order: build_run_double_sum_gf(order, lambda i, j: i + j), ()),
     "RHS_THM11": (lambda order: build_k_measure_gf(2, order), ()),
-    "GF_SOL_LEN": (build_sol_length_gf, ()),
+    "GF_SOL_LEN": (lambda order: build_run_double_sum_gf(order, lambda i, j: i), ()),
     "GF_KMEASURE": (build_k_measure_gf, ("k",)),
     "GF_2MEASURE_P": (build_all_partitions_2measure_gf, ()),
     "GF_A_TYPES": (build_durfee_type_gf, ()),
@@ -603,38 +583,20 @@ class LaurentPoly:
 # -- finite identity checks ----------------------------------------------------
 
 
-def _series_report(name, params, lhs, rhs) -> VerificationReport:
-    gap = lhs.first_discrepancy(rhs)
-    if gap is None:
-        return VerificationReport(name, params, True, counts={"terms": len(lhs.terms)})
-    (q, x, y), a, b = gap
-    return VerificationReport(
-        name, params, False, witness=f"q^{q} x^{x} y^{y}: {a} != {b}"
-    )
-
-
 def check_qbinom(a: Monomial, order: int) -> VerificationReport:
     """Cauchy's q-binomial theorem for a monomial parameter, compared as
     series truncated in q and in x (x alone does not bound the q-order)."""
     trunc = {"xorder": order}
-    inv = MultiSeries.one(order, **trunc)
-    product = MultiSeries.one(order, **trunc)
+    inverses = _inverse_factorials(order, 1, order, **trunc)
     lhs = MultiSeries.zero(order, **trunc)
     for m in range(order + 1):
         apoch = pochhammer(a, 1, m, order, **trunc)
-        lhs = lhs + MultiSeries.term(1, order, x=m, **trunc) * apoch * inv
-        shift = m + 1
-        if shift <= order:
-            product = product * (
-                MultiSeries.one(order, **trunc)
-                - MultiSeries.term(1, order, q=shift, **trunc)
-            )
-            inv = product.invert()
+        lhs = lhs + MultiSeries.term(1, order, x=m, **trunc) * apoch * inverses[m]
     numerator = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q), 1, None, order, **trunc)
     denominator = pochhammer(Monomial(1, x=1), 1, None, order, **trunc)
     rhs = numerator * denominator.invert()
     label = {"a": f"{a.coeff}*q^{a.q}" if (a.x, a.y) == (0, 0) else repr(a), "order": order}
-    return _series_report("QBINOM", label, lhs, rhs)
+    return series_report("QBINOM", label, lhs, rhs)
 
 
 def check_xq2_expansion(n: int) -> VerificationReport:

@@ -54,3 +54,15 @@ class VerificationReport:
             "witness": self.witness,
             "counts": dict(self.counts),
         }
+
+
+def series_report(name: str, params: dict, built, expected) -> VerificationReport:
+    """Compare two truncated series coefficientwise: PASS with the term count,
+    or FAIL at the smallest (q, x, y) where they differ."""
+    gap = built.first_discrepancy(expected)
+    if gap is None:
+        return VerificationReport(name, params, True, counts={"terms": len(built.terms)})
+    (q, x, y), a, b = gap
+    return VerificationReport(
+        name, params, False, witness=f"q^{q} x^{x} y^{y}: built {a}, expected {b}"
+    )

@@ -196,7 +196,8 @@ def modular2_diagram(p: Partition, border: Border = Border.LAST_CELL) -> Modular
                 row = [2] * (width - 1) + [1]
             rows.append(tuple(row))
     diagram = ModularDiagram(tuple(rows))
-    assert diagram.row_sums() == p.parts
+    if diagram.row_sums() != p.parts:
+        raise RuntimeError(f"2-modular diagram of {p} has row sums {diagram.row_sums()}")
     return diagram
 
 
@@ -249,5 +250,6 @@ def alternating_index(p: Partition) -> int:
     eta = union(modular2_conjugate_even(triple.right), triple.below)
     tail = 2 * k if p.parts[k - 1] > 2 * k - 1 else 2 * k - 1
     sequence = list(eta.parts[::-1]) + [tail]
-    assert all(a <= b for a, b in zip(sequence, sequence[1:]))
+    if any(a > b for a, b in zip(sequence, sequence[1:])):
+        raise RuntimeError(f"alternating-index sequence of {p} is not non-decreasing")
     return parity_index(sequence)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import maps, qseries
 from .core import Partition, k_measure, parity_index, partitions, sol
 from .qseries import Monomial, MultiSeries
-from .report import VerificationReport
+from .report import VerificationReport, series_report
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
 
 
@@ -73,19 +73,9 @@ def count_D(n: int, k: int, m: int) -> int:
     return sum(1 for _ in enumerate_family(FamilySpec(n, strict=True, length=k, sol=m)))
 
 
-def count_A1(n: int, k: int, m: int) -> int:
-    """Odd partitions of n, 2-modular type I, Durfee side k, sub-side m."""
-    spec = FamilySpec(
-        n, odd_parts=True, dur2=k, durfee_type=DurfeeType.TYPE_I, dur2_sub=m
-    )
-    return sum(1 for _ in enumerate_family(spec))
-
-
-def count_A2(n: int, k: int, m: int) -> int:
-    """Odd partitions of n, 2-modular type II, Durfee side k, sub-side m."""
-    spec = FamilySpec(
-        n, odd_parts=True, dur2=k, durfee_type=DurfeeType.TYPE_II, dur2_sub=m
-    )
+def count_A(n: int, k: int, m: int, kind: DurfeeType) -> int:
+    """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m."""
+    spec = FamilySpec(n, odd_parts=True, dur2=k, durfee_type=kind, dur2_sub=m)
     return sum(1 for _ in enumerate_family(spec))
 
 
@@ -110,16 +100,6 @@ def _enumeration_series(order, xstat, ystat, **family) -> MultiSeries:
     return MultiSeries(order, terms)
 
 
-def _series_report(name, params, built, expected) -> VerificationReport:
-    gap = built.first_discrepancy(expected)
-    if gap is None:
-        return VerificationReport(name, params, True, counts={"terms": len(built.terms)})
-    (q, x, y), a, b = gap
-    return VerificationReport(
-        name, params, False, witness=f"q^{q} x^{x} y^{y}: built {a}, expected {b}"
-    )
-
-
 # -- checkers -------------------------------------------------------------------
 
 
@@ -142,14 +122,14 @@ def check_thm11(order: int = 30) -> VerificationReport:
     """Double-sum series equals the Pochhammer-sum series coefficientwise."""
     lhs = qseries.build("LHS_THM11", order)
     rhs = qseries.build("RHS_THM11", order)
-    return _series_report("THM11", {"order": order}, lhs, rhs)
+    return series_report("THM11", {"order": order}, lhs, rhs)
 
 
 def check_eq11(order: int = 25) -> VerificationReport:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
     expected = _enumeration_series(order, sol, lambda p: p.length, strict=True)
-    return _series_report("EQ11", {"order": order}, built, expected)
+    return series_report("EQ11", {"order": order}, built, expected)
 
 
 def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
@@ -160,7 +140,7 @@ def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
         expected = _enumeration_series(
             order, lambda p: k_measure(p, kk), lambda p: p.length, strict=True
         )
-        report = _series_report("EQ31", {"order": order, "k": kk}, built, expected)
+        report = series_report("EQ31", {"order": order, "k": kk}, built, expected)
         if not report:
             return report
     return VerificationReport(
@@ -174,7 +154,7 @@ def check_eq_2measure_p(order: int = 20) -> VerificationReport:
     expected = _enumeration_series(
         order, lambda p: k_measure(p, 2), lambda p: p.length
     )
-    return _series_report("EQ_2MEASURE_P", {"order": order}, built, expected)
+    return series_report("EQ_2MEASURE_P", {"order": order}, built, expected)
 
 
 def _strict_buckets(n: int) -> dict[tuple[int, int], int]:
@@ -201,6 +181,27 @@ def _odd_buckets(n: int):
     return type1, type2, alt_counts
 
 
+def _check_cells(name: str, nmax: int, cells) -> VerificationReport:
+    """Compare count cells for every n in 1..nmax; FAIL at the first mismatch.
+
+    ``cells(n, strict, type1, type2, alt)`` gets the bucket counts of size n
+    and yields one (label, left, right) triple per cell, to be equal.
+    """
+    if nmax < 1:
+        raise ValueError(f"{name} needs nmax >= 1; sizes up to {nmax} hold no cell")
+    checked = 0
+    for n in range(1, nmax + 1):
+        strict = _strict_buckets(n)
+        type1, type2, alt_counts = _odd_buckets(n)
+        for label, left, right in cells(n, strict, type1, type2, alt_counts):
+            checked += 1
+            if left != right:
+                return VerificationReport(
+                    name, {"nmax": nmax}, False, witness=f"n={n} {label}: {left} != {right}"
+                )
+    return VerificationReport(name, {"nmax": nmax}, True, counts={"cells": checked})
+
+
 def check_thm12(nmax: int = 26) -> VerificationReport:
     """Type I/II Durfee-square counts against strict-partition counts.
 
@@ -208,30 +209,14 @@ def check_thm12(nmax: int = 26) -> VerificationReport:
     and 2m odd runs; type II at (k, m) matches 2k-1 parts and 2m+1 odd runs.
     The (k, m) grid is derived from n so no cell is skipped.
     """
-    cells = 0
-    for n in range(1, nmax + 1):
-        strict = _strict_buckets(n)
-        type1, type2, _ = _odd_buckets(n)
+
+    def cells(n, strict, type1, type2, _alt):
         for k in range(1, n + 1):
             for m in range(0, k + 1):
-                cells += 2
-                if type1.get((k, m), 0) != strict.get((2 * k, 2 * m), 0):
-                    return VerificationReport(
-                        "THM12",
-                        {"nmax": nmax},
-                        False,
-                        witness=f"type I n={n} k={k} m={m}: "
-                        f"{type1.get((k, m), 0)} != {strict.get((2 * k, 2 * m), 0)}",
-                    )
-                if type2.get((k, m), 0) != strict.get((2 * k - 1, 2 * m + 1), 0):
-                    return VerificationReport(
-                        "THM12",
-                        {"nmax": nmax},
-                        False,
-                        witness=f"type II n={n} k={k} m={m}: "
-                        f"{type2.get((k, m), 0)} != {strict.get((2 * k - 1, 2 * m + 1), 0)}",
-                    )
-    return VerificationReport("THM12", {"nmax": nmax}, True, counts={"cells": cells})
+                yield f"type I k={k} m={m}", type1.get((k, m), 0), strict.get((2 * k, 2 * m), 0)
+                yield f"type II k={k} m={m}", type2.get((k, m), 0), strict.get((2 * k - 1, 2 * m + 1), 0)
+
+    return _check_cells("THM12", nmax, cells)
 
 
 def check_thm13(nmax: int = 26) -> VerificationReport:
@@ -242,32 +227,24 @@ def check_thm13(nmax: int = 26) -> VerificationReport:
     alternating-index count at Durfee side ceil(k/2); mismatched-parity
     cells are asserted empty on the strict side.
     """
-    cells = 0
-    for n in range(1, nmax + 1):
-        strict = _strict_buckets(n)
-        _, _, alt_counts = _odd_buckets(n)
+
+    def cells(n, strict, _type1, _type2, alt_counts):
         for k in range(1, n + 1):
             for m in range(0, k + 1):
-                cells += 1
                 d = strict.get((k, m), 0)
                 if (k - m) % 2:
-                    if d != 0:
-                        return VerificationReport(
-                            "THM13",
-                            {"nmax": nmax},
-                            False,
-                            witness=f"n={n} k={k} m={m}: parity mismatch but D={d}",
-                        )
-                    continue
-                b = alt_counts.get(((k + 1) // 2, m), 0)
-                if b != d:
-                    return VerificationReport(
-                        "THM13",
-                        {"nmax": nmax},
-                        False,
-                        witness=f"n={n} k={k} m={m}: B={b} != D={d}",
-                    )
-    return VerificationReport("THM13", {"nmax": nmax}, True, counts={"cells": cells})
+                    yield f"k={k} m={m} parity mismatch, D vs 0", d, 0
+                else:
+                    yield f"k={k} m={m} B vs D", alt_counts.get(((k + 1) // 2, m), 0), d
+
+    return _check_cells("THM13", nmax, cells)
+
+
+def _by_first(buckets: dict[tuple[int, int], int]) -> dict[int, int]:
+    totals: dict[int, int] = {}
+    for (first, _second), c in buckets.items():
+        totals[first] = totals.get(first, 0) + c
+    return totals
 
 
 def check_corollary(nmax: int = 26) -> VerificationReport:
@@ -278,36 +255,29 @@ def check_corollary(nmax: int = 26) -> VerificationReport:
     with Durfee side j, hence strict partitions with 2j-1 or 2j parts match
     odd partitions with Durfee side j.
     """
-    for n in range(1, nmax + 1):
-        strict = _strict_buckets(n)
-        type1, type2, _ = _odd_buckets(n)
-        strict_by_len: dict[int, int] = {}
-        for (length, _m), c in strict.items():
-            strict_by_len[length] = strict_by_len.get(length, 0) + c
-        t1_by_k: dict[int, int] = {}
-        for (k, _m), c in type1.items():
-            t1_by_k[k] = t1_by_k.get(k, 0) + c
-        t2_by_k: dict[int, int] = {}
-        for (k, _m), c in type2.items():
-            t2_by_k[k] = t2_by_k.get(k, 0) + c
+
+    def cells(n, strict, type1, type2, _alt):
+        strict_by_len = _by_first(strict)
+        t1_by_k = _by_first(type1)
+        t2_by_k = _by_first(type2)
         for j in range(1, n + 1):
-            even_side = strict_by_len.get(2 * j, 0)
-            odd_side = strict_by_len.get(2 * j - 1, 0)
-            if t1_by_k.get(j, 0) != even_side:
-                return VerificationReport(
-                    "COROLLARY",
-                    {"nmax": nmax},
-                    False,
-                    witness=f"n={n} j={j}: type I {t1_by_k.get(j, 0)} != strict 2j-part {even_side}",
-                )
-            if t2_by_k.get(j, 0) != odd_side:
-                return VerificationReport(
-                    "COROLLARY",
-                    {"nmax": nmax},
-                    False,
-                    witness=f"n={n} j={j}: type II {t2_by_k.get(j, 0)} != strict (2j-1)-part {odd_side}",
-                )
-    return VerificationReport("COROLLARY", {"nmax": nmax}, True)
+            yield f"j={j} type I vs 2j parts", t1_by_k.get(j, 0), strict_by_len.get(2 * j, 0)
+            yield f"j={j} type II vs 2j-1 parts", t2_by_k.get(j, 0), strict_by_len.get(2 * j - 1, 0)
+
+    return _check_cells("COROLLARY", nmax, cells)
+
+
+def _check_against_sol_len(name, order, built, enumerated, reindex) -> VerificationReport:
+    """``built`` against enumeration, then against GF_SOL_LEN with its
+    exponents sent through ``reindex``."""
+    report = series_report(name, {"order": order, "against": "enumeration"}, built, enumerated)
+    if not report:
+        return report
+    reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(reindex)
+    report = series_report(name, {"order": order, "against": "reindexed"}, built, reindexed)
+    if not report:
+        return report
+    return VerificationReport(name, {"order": order}, True)
 
 
 def check_gf4(order: int = 25) -> VerificationReport:
@@ -319,16 +289,9 @@ def check_gf4(order: int = 25) -> VerificationReport:
         dur2,
         odd_parts=True,
     )
-    report = _series_report("GF4", {"order": order, "against": "enumeration"}, built, enumerated)
-    if not report:
-        return report
-    reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(
-        lambda q, x, y: (q, x // 2, (y + 1) // 2)
+    return _check_against_sol_len(
+        "GF4", order, built, enumerated, lambda q, x, y: (q, x // 2, (y + 1) // 2)
     )
-    report = _series_report("GF4", {"order": order, "against": "reindexed"}, built, reindexed)
-    if not report:
-        return report
-    return VerificationReport("GF4", {"order": order}, True)
 
 
 def check_gf5(order: int = 25) -> VerificationReport:
@@ -337,16 +300,9 @@ def check_gf5(order: int = 25) -> VerificationReport:
     enumerated = _enumeration_series(
         order, alternating_index, dur2, odd_parts=True
     )
-    report = _series_report("GF5", {"order": order, "against": "enumeration"}, built, enumerated)
-    if not report:
-        return report
-    reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(
-        lambda q, x, y: (q, x, (y + 1) // 2)
+    return _check_against_sol_len(
+        "GF5", order, built, enumerated, lambda q, x, y: (q, x, (y + 1) // 2)
     )
-    report = _series_report("GF5", {"order": order, "against": "reindexed"}, built, reindexed)
-    if not report:
-        return report
-    return VerificationReport("GF5", {"order": order}, True)
 
 
 def check_sylvester(nmax: int = 26) -> VerificationReport:
@@ -456,7 +412,7 @@ def check_lemma51(mmax: int = 10, order: int = 30) -> VerificationReport:
                 key = (n, parity_index(p.parts[::-1]), 0)
                 terms[key] = terms.get(key, 0) + 1
         expected = MultiSeries(order, terms)
-        report = _series_report(name, {"m": m, "order": order}, built, expected)
+        report = series_report(name, {"m": m, "order": order}, built, expected)
         if not report:
             return report
     for n in range(15):
@@ -621,6 +577,10 @@ DESK_PROFILE = {
 }
 
 
+# smallest bound each keyword may take; below it a checker would check nothing
+_LEAST_BOUND = {"nmax": 0, "order": 0, "mmax": 1}
+
+
 def verify(name: str, **bounds) -> VerificationReport:
     """Run one named checker, using desk-profile bounds for anything unset."""
     try:
@@ -634,18 +594,15 @@ def verify(name: str, **bounds) -> VerificationReport:
         if key not in accepted:
             raise ValueError(f"checker {name} does not accept bound {key!r}")
         kwargs[key] = value
+    for key, value in kwargs.items():
+        least = _LEAST_BOUND.get(key)
+        if least is not None and value < least:
+            raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")
     return func(**kwargs)
 
 
-def verify_all(profile: str = "desk", max_workers: int | None = None):
+def verify_all(profile: str = "desk"):
     """Run every checker at profile bounds; reports come back in fixed order."""
     if profile != "desk":
         raise ValueError(f"unknown profile {profile!r}")
-    names = list(CHECKERS)
-    if max_workers is not None and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(verify, name) for name in names]
-            return [future.result() for future in futures]
-    return [verify(name) for name in names]
+    return [verify(name) for name in CHECKERS]

@@ -1,7 +1,10 @@
 """Command-line interface: output content, formats, and exit codes."""
 
+import io
 import json
 from pathlib import Path
+
+import pytest
 
 from partition_lab import cli
 from partition_lab.report import VerificationReport
@@ -98,10 +101,22 @@ class TestVerify:
         payload = json.loads(out)
         assert payload[0]["name"] == "THM11" and payload[0]["status"] == "PASS"
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARTITION_LAB_THREADS", "not-a-number")
-        code, _, err = run(capsys, "verify", "all")
-        assert code == 2 and "PARTITION_LAB_THREADS" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "SYLVESTER", "--nmax", "-3"),
+            ("verify", "PROP_2MEASURE", "--nmax", "-1"),
+            ("verify", "EQ11", "--order", "-1"),
+            ("verify", "LEMMA51", "--m", "0"),
+            ("verify", "THM12", "--nmax", "0"),
+            ("verify", "THM13", "--nmax", "0"),
+            ("verify", "COROLLARY", "--nmax", "0"),
+            ("table", "involution", "--n", "-1"),
+        ],
+    )
+    def test_empty_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "PASS" not in out and err.startswith("error: ")
 
 
 class TestTableAndExamples:
@@ -138,3 +153,26 @@ class TestErrors:
 
     def test_unknown_checker_exits_two(self, capsys):
         assert run(capsys, "verify", "NOPE")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "\u0663+1"),  # ARABIC-INDIC DIGIT THREE
+            ("stats", "3\u00b2"),  # SUPERSCRIPT TWO
+            ("map", "phi", "0|\u0663x"),
+            ("map", "phi", "0|3\u00b2"),
+        ],
+    )
+    def test_non_ascii_digits_are_bad_parts(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "bad part" in err
+
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert cli.main(["series", "GF_SOL_LEN", "--order", "20"]) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""

@@ -1,9 +1,13 @@
 """Bijections, the signed-pair involution, and the odd-gap decomposition."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import partition_lab
 from partition_lab.core import Partition, k_measure, parity_index, parse, partitions, sol
 from partition_lab.maps import (
     LabeledPartition,
@@ -198,6 +202,28 @@ class TestSylvester:
     def test_rejects_even_parts(self):
         with pytest.raises(ValueError):
             sylvester(parse("4+1"))
+
+    def test_broken_hooks_raise_under_optimize(self):
+        # a wrong hook reading must raise even with asserts stripped by -O
+        script = (
+            "from partition_lab import maps\n"
+            "from partition_lab.core import parse\n"
+            "maps._hook_lengths = lambda p: [3, 3]\n"
+            "try:\n"
+            "    print(maps.sylvester(parse('5+1')))\n"
+            "except RuntimeError as exc:\n"
+            "    print('RuntimeError', exc)\n"
+        )
+        src = str(Path(partition_lab.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("RuntimeError hooks of 5+1 gave 3+3")
 
     def test_stats_check_examples(self):
         assert sylvester_stats_check(parse("9+7+7+5+1+1")).passed

@@ -3,13 +3,13 @@
 import pytest
 
 from partition_lab.core import parse, sol
-from partition_lab.report import VerificationReport
+from partition_lab.qseries import MultiSeries
+from partition_lab.report import VerificationReport, series_report
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
 from partition_lab.verify import (
     CHECKERS,
     FamilySpec,
-    count_A1,
-    count_A2,
+    count_A,
     count_B,
     count_D,
     enumerate_family,
@@ -55,10 +55,10 @@ class TestEnumerate:
 
 class TestCounts:
     def test_published_cells(self):
-        assert count_A1(16, 2, 1) == 6
+        assert count_A(16, 2, 1, DurfeeType.TYPE_I) == 6
         assert count_B(16, 2, 2) == 6
         assert count_D(16, 4, 2) == 6
-        assert count_A2(15, 2, 0) == 5
+        assert count_A(15, 2, 0, DurfeeType.TYPE_II) == 5
         assert count_B(15, 2, 1) == 5
         assert count_D(15, 3, 1) == 5
 
@@ -134,8 +134,6 @@ class TestCheckers:
         reports = verify_all()
         assert [r.name.split()[0] for r in reports] == list(CHECKERS)
         assert all(reports)
-        threaded = verify_all(max_workers=4)
-        assert [r.line() for r in threaded] == [r.line() for r in reports]
 
 
 class TestReports:
@@ -148,6 +146,14 @@ class TestReports:
         assert report.line() == "X order<=3 FAIL"
         assert "counterexample: q^1: 0 != 1" in report.text()
         assert not report
+
+    def test_series_report_names_first_difference(self):
+        built = MultiSeries(4, {(1, 0, 1): 1, (3, 2, 1): 5, (4, 1, 1): 2})
+        expected = MultiSeries(4, {(1, 0, 1): 1, (3, 2, 1): 7, (4, 1, 1): 2})
+        report = series_report("S", {"order": 4}, built, expected)
+        assert report.line() == "S order<=4 FAIL"
+        assert report.witness == "q^3 x^2 y^1: built 5, expected 7"
+        assert series_report("S", {"order": 4}, built, built).counts == {"terms": 3}
 
     def test_to_dict_round_trip_fields(self):
         report = VerificationReport("Y", {"nmax": 5}, True, counts={"cells": 7})
