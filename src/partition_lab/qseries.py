@@ -1,9 +1,10 @@
 """Exact truncated formal power series in q over Z[x, y].
 
 MultiSeries is the working ring: coefficients are Python ints (arbitrary
-precision), q-exponents are truncated at an inclusive order N, and x/y
+precision), q-exponents are truncated at an inclusive order N, and x
 exponents may optionally carry their own truncation (needed only when an
-infinite product fails to stabilise in q alone).  LaurentPoly quarantines
+infinite product fails to stabilise in q alone).  Every division is by one
+binomial factor (1 - c q^s x^a y^b) at a time.  LaurentPoly quarantines
 the negative q-powers required by the terminating hypergeometric checks;
 MultiSeries never holds a negative exponent.  No floating point anywhere.
 """
@@ -30,25 +31,19 @@ class Monomial:
 class MultiSeries:
     """Formal power series in q, truncated at ``order``, coefficients in Z[x, y].
 
-    ``xorder``/``yorder`` optionally truncate the x/y exponents as well; all
-    ring operations require identical truncation settings.
+    ``xorder`` optionally truncates the x exponents as well; all ring
+    operations require identical truncation settings.
     """
 
-    __slots__ = ("order", "xorder", "yorder", "terms")
+    __slots__ = ("order", "xorder", "terms")
 
     def __init__(
-        self,
-        order: int,
-        terms: dict[Key, int] | None = None,
-        *,
-        xorder: int | None = None,
-        yorder: int | None = None,
+        self, order: int, terms: dict[Key, int] | None = None, *, xorder: int | None = None
     ) -> None:
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.order = order
         self.xorder = xorder
-        self.yorder = yorder
         kept: dict[Key, int] = {}
         if terms:
             for (q, x, y), coeff in terms.items():
@@ -58,38 +53,30 @@ class MultiSeries:
                     continue
                 if xorder is not None and x > xorder:
                     continue
-                if yorder is not None and y > yorder:
-                    continue
                 kept[(q, x, y)] = coeff
         self.terms = kept
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, **trunc) -> "MultiSeries":
-        return cls(order, {}, **trunc)
+    def zero(cls, order: int, *, xorder: int | None = None) -> "MultiSeries":
+        return cls(order, {}, xorder=xorder)
 
     @classmethod
-    def one(cls, order: int, **trunc) -> "MultiSeries":
-        return cls(order, {(0, 0, 0): 1}, **trunc)
+    def one(cls, order: int, *, xorder: int | None = None) -> "MultiSeries":
+        return cls(order, {(0, 0, 0): 1}, xorder=xorder)
 
     @classmethod
     def term(
-        cls, coeff: int, order: int, *, q: int = 0, x: int = 0, y: int = 0, **trunc
+        cls, coeff: int, order: int, *, q: int = 0, x: int = 0, y: int = 0,
+        xorder: int | None = None,
     ) -> "MultiSeries":
-        return cls(order, {(q, x, y): coeff}, **trunc)
+        return cls(order, {(q, x, y): coeff}, xorder=xorder)
 
     # -- ring operations ----------------------------------------------------
 
-    def _trunc(self) -> dict:
-        return {"xorder": self.xorder, "yorder": self.yorder}
-
     def _require_compatible(self, other: "MultiSeries") -> None:
-        if (self.order, self.xorder, self.yorder) != (
-            other.order,
-            other.xorder,
-            other.yorder,
-        ):
+        if (self.order, self.xorder) != (other.order, other.xorder):
             raise ValueError("series truncation orders differ")
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
@@ -97,24 +84,24 @@ class MultiSeries:
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0) + coeff
-        return MultiSeries(self.order, merged, **self._trunc())
+        return MultiSeries(self.order, merged, xorder=self.xorder)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self + (-other)
 
     def __neg__(self) -> "MultiSeries":
         return MultiSeries(
-            self.order, {k: -c for k, c in self.terms.items()}, **self._trunc()
+            self.order, {k: -c for k, c in self.terms.items()}, xorder=self.xorder
         )
 
     def __mul__(self, other):
         if isinstance(other, int):
             return MultiSeries(
-                self.order, {k: other * c for k, c in self.terms.items()}, **self._trunc()
+                self.order, {k: other * c for k, c in self.terms.items()}, xorder=self.xorder
             )
         self._require_compatible(other)
         out: dict[Key, int] = {}
-        order, xo, yo = self.order, self.xorder, self.yorder
+        order, xo = self.order, self.xorder
         for (q1, x1, y1), c1 in self.terms.items():
             for (q2, x2, y2), c2 in other.terms.items():
                 q = q1 + q2
@@ -123,19 +110,16 @@ class MultiSeries:
                 x = x1 + x2
                 if xo is not None and x > xo:
                     continue
-                y = y1 + y2
-                if yo is not None and y > yo:
-                    continue
-                key = (q, x, y)
+                key = (q, x, y1 + y2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiSeries(order, out, **self._trunc())
+        return MultiSeries(order, out, xorder=self.xorder)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiSeries":
         if exponent < 0:
             raise ValueError("negative powers are not defined; use invert()")
-        result = MultiSeries.one(self.order, **self._trunc())
+        result = MultiSeries.one(self.order, xorder=self.xorder)
         base = self
         n = exponent
         while n:
@@ -147,10 +131,8 @@ class MultiSeries:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiSeries):
-            return (
-                (self.order, self.xorder, self.yorder)
-                == (other.order, other.xorder, other.yorder)
-                and self.terms == other.terms
+            return (self.order, self.xorder, self.terms) == (
+                other.order, other.xorder, other.terms
             )
         return NotImplemented
 
@@ -166,21 +148,13 @@ class MultiSeries:
         c = self.terms.get((0, 0, 0), 0)
         if c not in (1, -1):
             raise ValueError("cannot invert a series whose constant term is not +1/-1")
-        u = MultiSeries.one(self.order, **self._trunc()) - self * c
-        bound = self.order
-        for (q, x, y) in u.terms:
-            grade = q
-            if self.xorder is not None:
-                grade += x
-            if self.yorder is not None:
-                grade += y
-            if grade < 1:
+        order, xorder = self.order, self.xorder
+        u = MultiSeries.one(order, xorder=xorder) - self * c
+        for (q, x, _y) in u.terms:
+            if q + (x if xorder is not None else 0) < 1:
                 raise ValueError("series is not invertible under this truncation")
-        if self.xorder is not None:
-            bound += self.xorder
-        if self.yorder is not None:
-            bound += self.yorder
-        result = MultiSeries.one(self.order, **self._trunc())
+        bound = order + (xorder or 0)
+        result = MultiSeries.one(order, xorder=xorder)
         power = u
         steps = 0
         while power.terms:
@@ -211,7 +185,7 @@ class MultiSeries:
         for key, coeff in self.terms.items():
             new = fn(*key)
             out[new] = out.get(new, 0) + coeff
-        return MultiSeries(self.order, out, **self._trunc())
+        return MultiSeries(self.order, out, xorder=self.xorder)
 
     def first_discrepancy(self, other: "MultiSeries"):
         """Smallest (q, x, y) where coefficients differ, or None if equal."""
@@ -235,50 +209,38 @@ class MultiSeries:
         return f"<MultiSeries order={self.order} terms={len(self.terms)}>"
 
 
+def _factors(a: Monomial, step: int, n: int | None, order: int, *, xorder: int | None = None):
+    """The binomial factors (1 - a q^(step k)), k < n (every k if n is None),
+    that survive truncation at ``order``.  The q-shifts only grow, so the
+    first shift past the order ends the product."""
+    k = 0
+    while n is None or k < n:
+        shift = a.q + step * k
+        if shift > order:
+            return
+        yield MultiSeries.one(order, xorder=xorder) - MultiSeries.term(
+            a.coeff, order, q=shift, x=a.x, y=a.y, xorder=xorder
+        )
+        k += 1
+
+
 def pochhammer(
-    a: Monomial,
-    step: int,
-    n: int | None,
-    order: int,
-    *,
-    xorder: int | None = None,
-    yorder: int | None = None,
+    a: Monomial, step: int, n: int | None, order: int, *, xorder: int | None = None
 ) -> MultiSeries:
     """The q-shifted factorial (a; q^step)_n as a truncated series.
 
     ``n is None`` means the infinite product, which stabilises modulo
     q^(order+1) once the shifted monomial's q-exponent exceeds the order.
-    A constant monomial (no q, x or y exponent in a truncated dimension)
-    makes the infinite product divergent and is rejected.
+    A constant monomial (no q exponent, and no x exponent under an x
+    truncation) makes the infinite product divergent and is rejected.
     """
     if step < 1:
         raise ValueError("step must be a positive q-power")
-    trunc = {"xorder": xorder, "yorder": yorder}
-    if n is None:
-        anchored = (
-            a.q >= 1
-            or (xorder is not None and a.x >= 1)
-            or (yorder is not None and a.y >= 1)
-        )
-        if not anchored:
-            raise ValueError("infinite product diverges for this monomial")
-    result = MultiSeries.one(order, **trunc)
-    k = 0
-    while True:
-        if n is not None and k >= n:
-            break
-        shift = a.q + step * k
-        if shift > order:
-            if n is None:
-                break
-            # remaining factors are 1 modulo the truncation
-            k += 1
-            continue
-        factor = MultiSeries.one(order, **trunc) - MultiSeries.term(
-            a.coeff, order, q=shift, x=a.x, y=a.y, **trunc
-        )
+    if n is None and not (a.q >= 1 or (xorder is not None and a.x >= 1)):
+        raise ValueError("infinite product diverges for this monomial")
+    result = MultiSeries.one(order, xorder=xorder)
+    for factor in _factors(a, step, n, order, xorder=xorder):
         result = result * factor
-        k += 1
     return result
 
 
@@ -308,7 +270,6 @@ def gauss_binomial(
     *,
     order: int,
     xorder: int | None = None,
-    yorder: int | None = None,
 ) -> MultiSeries:
     """Gaussian binomial [a, b] in the variable q^step, truncated at ``order``.
 
@@ -320,22 +281,19 @@ def gauss_binomial(
         (exp * step, 0, 0): coeff
         for exp, coeff in _gauss_coeffs(a, b).items()
     }
-    return MultiSeries(order, terms, xorder=xorder, yorder=yorder)
+    return MultiSeries(order, terms, xorder=xorder)
 
 
-def _inverse_factorials(count: int, step: int, order: int, **trunc) -> list[MultiSeries]:
-    """[1/(q^step; q^step)_n for n in 0..count] as truncated series; ``trunc``
-    takes the ``xorder``/``yorder`` truncation keywords."""
-    inverses = [MultiSeries.one(order, **trunc)]
-    product = MultiSeries.one(order, **trunc)
-    for n in range(1, count + 1):
-        shift = step * n
-        if shift <= order:
-            product = product * (
-                MultiSeries.one(order, **trunc) - MultiSeries.term(1, order, q=shift, **trunc)
-            )
-        inverses.append(product.invert())
-    return inverses
+def _inverse_factorials(
+    count: int, step: int, order: int, *, xorder: int | None = None
+) -> list[MultiSeries]:
+    """[1/(q^step; q^step)_n for n in 0..count] as truncated series, each
+    the previous one times the inverse of one more binomial factor; past
+    the order the factors are 1, so the list repeats its last entry."""
+    inverses = [MultiSeries.one(order, xorder=xorder)]
+    for factor in _factors(Monomial(1, q=step), step, count, order, xorder=xorder):
+        inverses.append(inverses[-1] * factor.invert())
+    return inverses + [inverses[-1]] * (count + 1 - len(inverses))
 
 
 # -- named series builders ---------------------------------------------------
@@ -377,11 +335,15 @@ def build_k_measure_gf(k: int, order: int) -> MultiSeries:
         raise ValueError("k must be a positive integer")
     inv1 = _inverse_factorials(order, 1, order)
     total = MultiSeries.zero(order)
+    xpoch = MultiSeries.one(order)  # (x; q^k)_n, one factor more per n
+    xfactors = _factors(Monomial(1, x=1), k, None, order)
     for n in range(order + 1):
         sign = -1 if n % 2 else 1
         head = MultiSeries.term(sign, order, q=n, y=n)
-        xpoch = pochhammer(Monomial(1, x=1), k, n, order)
         total = total + head * xpoch * inv1[n]
+        factor = next(xfactors, None)
+        if factor is not None:
+            xpoch = xpoch * factor
     envelope = pochhammer(Monomial(-1, y=1, q=1), 1, None, order)
     return _assert_y_bounded(envelope * total)
 
@@ -391,15 +353,18 @@ def build_all_partitions_2measure_gf(order: int) -> MultiSeries:
     1/(yq; q)_inf times the q^(n(n+1)/2) alternating sum."""
     inv1 = _inverse_factorials(order, 1, order)
     total = MultiSeries.zero(order)
+    xpoch = MultiSeries.one(order)  # (x; q)_n; n <= order, so no factor is 1
+    xfactors = _factors(Monomial(1, x=1), 1, None, order)
     n = 0
     while n * (n + 1) // 2 <= order:
         sign = -1 if n % 2 else 1
         head = MultiSeries.term(sign, order, q=n * (n + 1) // 2, y=n)
-        xpoch = pochhammer(Monomial(1, x=1), 1, n, order)
         total = total + head * xpoch * inv1[n]
+        xpoch = xpoch * next(xfactors)
         n += 1
-    envelope = pochhammer(Monomial(1, y=1, q=1), 1, None, order).invert()
-    return _assert_y_bounded(envelope * total)
+    for factor in _factors(Monomial(1, y=1, q=1), 1, None, order):
+        total = total * factor.invert()
+    return _assert_y_bounded(total)
 
 
 def build_durfee_type_gf(order: int) -> MultiSeries:
@@ -586,15 +551,18 @@ class LaurentPoly:
 def check_qbinom(a: Monomial, order: int) -> VerificationReport:
     """Cauchy's q-binomial theorem for a monomial parameter, compared as
     series truncated in q and in x (x alone does not bound the q-order)."""
-    trunc = {"xorder": order}
-    inverses = _inverse_factorials(order, 1, order, **trunc)
-    lhs = MultiSeries.zero(order, **trunc)
+    inverses = _inverse_factorials(order, 1, order, xorder=order)
+    lhs = MultiSeries.zero(order, xorder=order)
+    apoch = MultiSeries.one(order, xorder=order)  # (a; q)_m, one factor more per m
+    afactors = _factors(a, 1, None, order, xorder=order)
     for m in range(order + 1):
-        apoch = pochhammer(a, 1, m, order, **trunc)
-        lhs = lhs + MultiSeries.term(1, order, x=m, **trunc) * apoch * inverses[m]
-    numerator = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q), 1, None, order, **trunc)
-    denominator = pochhammer(Monomial(1, x=1), 1, None, order, **trunc)
-    rhs = numerator * denominator.invert()
+        lhs = lhs + MultiSeries.term(1, order, x=m, xorder=order) * apoch * inverses[m]
+        factor = next(afactors, None)
+        if factor is not None:
+            apoch = apoch * factor
+    rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q), 1, None, order, xorder=order)
+    for factor in _factors(Monomial(1, x=1), 1, None, order, xorder=order):
+        rhs = rhs * factor.invert()
     label = {"a": f"{a.coeff}*q^{a.q}" if (a.x, a.y) == (0, 0) else repr(a), "order": order}
     return series_report("QBINOM", label, lhs, rhs)
 

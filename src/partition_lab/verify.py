@@ -135,6 +135,7 @@ def check_eq11(order: int = 25) -> VerificationReport:
 def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
     """k-measure series against enumeration, for k in {1, 2, 3} by default."""
     ks = (k,) if k is not None else (1, 2, 3)
+    terms = 0
     for kk in ks:
         built = qseries.build("GF_KMEASURE", order, k=kk)
         expected = _enumeration_series(
@@ -143,8 +144,9 @@ def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
         report = series_report("EQ31", {"order": order, "k": kk}, built, expected)
         if not report:
             return report
+        terms += report.counts["terms"]
     return VerificationReport(
-        "EQ31", {"order": order, "k": ",".join(map(str, ks))}, True
+        "EQ31", {"order": order, "k": ",".join(map(str, ks))}, True, counts={"terms": terms}
     )
 
 
@@ -270,14 +272,15 @@ def check_corollary(nmax: int = 26) -> VerificationReport:
 def _check_against_sol_len(name, order, built, enumerated, reindex) -> VerificationReport:
     """``built`` against enumeration, then against GF_SOL_LEN with its
     exponents sent through ``reindex``."""
-    report = series_report(name, {"order": order, "against": "enumeration"}, built, enumerated)
-    if not report:
-        return report
+    first = series_report(name, {"order": order, "against": "enumeration"}, built, enumerated)
+    if not first:
+        return first
     reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(reindex)
-    report = series_report(name, {"order": order, "against": "reindexed"}, built, reindexed)
-    if not report:
-        return report
-    return VerificationReport(name, {"order": order}, True)
+    second = series_report(name, {"order": order, "against": "reindexed"}, built, reindexed)
+    if not second:
+        return second
+    terms = first.counts["terms"] + second.counts["terms"]
+    return VerificationReport(name, {"order": order}, True, counts={"terms": terms})
 
 
 def check_gf4(order: int = 25) -> VerificationReport:
@@ -401,7 +404,10 @@ def check_lemma51(mmax: int = 10, order: int = 30) -> VerificationReport:
     """Parity-index series over fixed largest part against enumeration,
     plus the odd-gap decomposition round trip."""
     name = "LEMMA51"
+    if order < mmax:
+        raise ValueError(f"{name} needs order >= mmax, got order {order} < mmax {mmax}")
     params = {"mmax": mmax, "order": order}
+    compared = 0
     for m in range(1, mmax + 1):
         built = qseries.build("GF_PARITY", order, m=m)
         terms: dict[tuple[int, int, int], int] = {}
@@ -415,12 +421,17 @@ def check_lemma51(mmax: int = 10, order: int = 30) -> VerificationReport:
         report = series_report(name, {"m": m, "order": order}, built, expected)
         if not report:
             return report
+        compared += report.counts["terms"]
+    round_trips = 0
     for n in range(15):
         for p in partitions(n):
             sigma, tau = maps.lemma51_decompose(p)
             if maps.lemma51_compose(sigma, tau) != p:
                 return VerificationReport(name, params, False, witness=f"round trip at {p}")
-    return VerificationReport(name, params, True)
+            round_trips += 1
+    return VerificationReport(
+        name, params, True, counts={"terms": compared, "round_trips": round_trips}
+    )
 
 
 def check_glaisher_counterexample() -> VerificationReport:
@@ -441,7 +452,9 @@ def check_glaisher_counterexample() -> VerificationReport:
         and sol(image) != 1
     )
     witness = None if ok else f"glaisher(11+3+1) = {image}, sol = {sol(image)}"
-    return VerificationReport("GLAISHER_COUNTEREX", {}, ok, witness=witness)
+    return VerificationReport(
+        "GLAISHER_COUNTEREX", {}, ok, witness=witness, counts={"partitions": 1}
+    )
 
 
 def check_finite_lemmas(order: int = 15) -> VerificationReport:
@@ -450,20 +463,19 @@ def check_finite_lemmas(order: int = 15) -> VerificationReport:
     for the monomials q, q^2 and -q."""
     name = "FINITE_LEMMAS"
     params = {"order": order}
-    for n in range(9):
-        report = qseries.check_xq2_expansion(n)
+    reports = [qseries.check_xq2_expansion(n) for n in range(9)]
+    reports += [qseries.check_qchu(i, j) for i in range(7) for j in range(7)]
+    reports += [
+        qseries.check_qbinom(a, order)
+        for a in (Monomial(1, q=1), Monomial(1, q=2), Monomial(-1, q=1))
+    ]
+    counts = {"terms": 0}
+    for report in reports:
         if not report:
             return VerificationReport(name, params, False, witness=report.line())
-    for i in range(7):
-        for j in range(7):
-            report = qseries.check_qchu(i, j)
-            if not report:
-                return VerificationReport(name, params, False, witness=report.line())
-    for a in (Monomial(1, q=1), Monomial(1, q=2), Monomial(-1, q=1)):
-        report = qseries.check_qbinom(a, order)
-        if not report:
-            return VerificationReport(name, params, False, witness=report.line())
-    return VerificationReport(name, params, True)
+        counts["terms"] += report.counts.get("terms", 0)
+        counts[report.name] = counts.get(report.name, 0) + 1
+    return VerificationReport(name, params, True, counts=counts)
 
 
 # -- example sets ----------------------------------------------------------------

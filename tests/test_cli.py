@@ -112,6 +112,8 @@ class TestVerify:
             ("verify", "THM13", "--nmax", "0"),
             ("verify", "COROLLARY", "--nmax", "0"),
             ("table", "involution", "--n", "-1"),
+            ("verify", "LEMMA51", "--order", "0"),
+            ("verify", "LEMMA51", "--order", "9", "--m", "10"),
         ],
     )
     def test_empty_range_is_usage_error(self, capsys, argv):

@@ -1,6 +1,10 @@
 """Exact truncated series ring, Pochhammer/Gaussian builders, named series,
 and the finite hypergeometric checkers."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +23,7 @@ from partition_lab.qseries import (
 )
 
 ORDER = 8
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def series_from_terms(entries, order=ORDER):
@@ -151,6 +156,10 @@ class TestPochhammer:
             pochhammer(Monomial(1, x=1), 1, None, ORDER)  # no x-truncation
         pochhammer(Monomial(1, x=1), 1, None, ORDER, xorder=4)  # fine
 
+    def test_factors_past_the_order_are_one(self):
+        far = pochhammer(Monomial(1, x=1), 2, 10**9, ORDER)
+        assert far == pochhammer(Monomial(1, x=1), 2, ORDER + 1, ORDER)
+
     def test_poch_times_inverse(self):
         product = pochhammer(Monomial(1, q=1), 1, 3, ORDER)
         assert product * product.invert() == MultiSeries.one(ORDER)
@@ -281,6 +290,58 @@ class TestBuilders:
             build("GF_KMEASURE", 5)
         with pytest.raises(ValueError):
             build("GF_SOL_LEN", 5, k=2)
+
+
+def strict_counts(order):
+    """q(n) for n <= order: each part used at most once."""
+    counts = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(order, part - 1, -1):
+            counts[n] += counts[n - part]
+    return counts
+
+
+def partition_counts(order):
+    """p(n) for n <= order: each part used any number of times."""
+    counts = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(part, order + 1):
+            counts[n] += counts[n - part]
+    return counts
+
+
+def at_x_y_one(series):
+    counts = [0] * (series.order + 1)
+    for (q, _x, _y), coeff in series.terms.items():
+        counts[q] += coeff
+    return counts
+
+
+class TestDeepCrossChecks:
+    """Series at x = y = 1 against integer recurrences, far past enumeration."""
+
+    @pytest.mark.parametrize("name", ["GF_SOL_LEN", "GF_A_TYPES", "GF_B"])
+    def test_strict_and_odd_series_count_q_n(self, name):
+        # strict partitions directly; odd partitions by Euler's theorem
+        assert at_x_y_one(build(name, 150)) == strict_counts(150)
+
+    def test_all_partition_series_counts_p_n(self):
+        assert at_x_y_one(build("GF_2MEASURE_P", 60)) == partition_counts(60)
+
+    def test_recurrences(self):
+        assert strict_counts(10) == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+        assert partition_counts(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_builders_match_benchmark_digests():
+    # every pin is a SHA-256 of serialize(); the file is read, never written
+    pins = json.loads(DIGESTS.read_text())["series"]
+    assert pins
+    for key, pin in pins.items():
+        name, *fields = key.split()
+        params = {k: int(v) for k, v in (field.split("=") for field in fields)}
+        text = build(name, **params).serialize()
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, key
 
 
 class TestLaurentPoly:

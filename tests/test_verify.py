@@ -135,6 +135,11 @@ class TestCheckers:
         assert [r.name.split()[0] for r in reports] == list(CHECKERS)
         assert all(reports)
 
+    def test_every_desk_report_counts_what_it_checked(self):
+        for report in verify_all("desk"):
+            assert report.passed, report.line()
+            assert report.counts and all(v > 0 for v in report.counts.values()), report.line()
+
 
 class TestReports:
     def test_line_format(self):
