@@ -124,19 +124,14 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.checker == "all":
-        reports = verify.verify_all(profile=args.profile)
+    bounds = {"nmax": args.nmax, "order": args.order, "k": args.k, "mmax": args.m}
+    given = [key for key, value in bounds.items() if value is not None]
+    if args.checker != "all":
+        reports = [verify.verify(args.checker, **bounds)]  # unset (None) bounds are skipped
+    elif given:
+        raise ValueError(f"verify all runs at profile bounds; it does not accept {given}")
     else:
-        overrides = {}
-        if args.nmax is not None:
-            overrides["nmax"] = args.nmax
-        if args.order is not None:
-            overrides["order"] = args.order
-        if args.k is not None:
-            overrides["k"] = args.k
-        if args.m is not None:
-            overrides["mmax"] = args.m
-        reports = [verify.verify(args.checker, **overrides)]
+        reports = verify.verify_all(profile=args.profile)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:

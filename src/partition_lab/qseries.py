@@ -116,19 +116,6 @@ class MultiSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "MultiSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined; use invert()")
-        result = MultiSeries.one(self.order, xorder=self.xorder)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiSeries):
             return (self.order, self.xorder, self.terms) == (
@@ -306,26 +293,52 @@ def _assert_y_bounded(series: MultiSeries) -> MultiSeries:
     return series
 
 
+def _double_sum(order: int, cells) -> MultiSeries:
+    """Sum of x^a y^b q^e / ((q; q)_i (q^2; q^2)_j) over the (e, a, b, i, j)
+    cells, with both inverse-factorial lists built once."""
+    inv1 = _inverse_factorials(order, 1, order)
+    inv2 = _inverse_factorials(order, 2, order)
+    total = MultiSeries.zero(order)
+    for e, a, b, i, j in cells:
+        head = MultiSeries.term(1, order, q=e, x=a, y=b)
+        total = total + head * inv1[i] * inv2[j]
+    return total
+
+
+def _alternating_sum(order: int, step: int, exponent) -> MultiSeries:
+    """Sum of (-1)^n y^n q^exponent(n) (x; q^step)_n / (q; q)_n over the n
+    with exponent(n) <= order; exponent(n) >= n grows with n."""
+    inv1 = _inverse_factorials(order, 1, order)
+    total = MultiSeries.zero(order)
+    xpoch = MultiSeries.one(order)  # (x; q^step)_n, one factor more per n
+    xfactors = _factors(Monomial(1, x=1), step, None, order)
+    n = 0
+    while (e := exponent(n)) <= order:
+        head = MultiSeries.term(-1 if n % 2 else 1, order, q=e, y=n)
+        total = total + head * xpoch * inv1[n]
+        factor = next(xfactors, None)
+        if factor is not None:
+            xpoch = xpoch * factor
+        n += 1
+    return total
+
+
 def build_run_double_sum_gf(order: int, x_weight) -> MultiSeries:
     """Strict partitions as the double sum over run data (i odd runs, j
     even-run pairs), each term weighted x^x_weight(i, j) y^length q^size.
 
     x_weight(i, j) = i counts odd runs; i + j counts the 2-measure."""
-    total = MultiSeries.zero(order)
-    inv1 = _inverse_factorials(order, 1, order)
-    inv2 = _inverse_factorials(order, 2, order)
-    i = 0
-    while i * i <= order:
-        j = 0
-        while True:
-            exponent = i * i + 2 * i * j + 2 * j * j + j
-            if exponent > order:
-                break
-            head = MultiSeries.term(1, order, q=exponent, x=x_weight(i, j), y=i + 2 * j)
-            total = total + head * inv1[i] * inv2[j]
-            j += 1
-        i += 1
-    return _assert_y_bounded(total)
+
+    def cells():
+        i = 0
+        while i * i <= order:
+            j = 0
+            while (exponent := i * i + 2 * i * j + 2 * j * j + j) <= order:
+                yield exponent, x_weight(i, j), i + 2 * j, i, j
+                j += 1
+            i += 1
+
+    return _assert_y_bounded(_double_sum(order, cells()))
 
 
 def build_k_measure_gf(k: int, order: int) -> MultiSeries:
@@ -333,35 +346,14 @@ def build_k_measure_gf(k: int, order: int) -> MultiSeries:
     strict partitions counted by x^(k-measure) y^length q^size."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    inv1 = _inverse_factorials(order, 1, order)
-    total = MultiSeries.zero(order)
-    xpoch = MultiSeries.one(order)  # (x; q^k)_n, one factor more per n
-    xfactors = _factors(Monomial(1, x=1), k, None, order)
-    for n in range(order + 1):
-        sign = -1 if n % 2 else 1
-        head = MultiSeries.term(sign, order, q=n, y=n)
-        total = total + head * xpoch * inv1[n]
-        factor = next(xfactors, None)
-        if factor is not None:
-            xpoch = xpoch * factor
     envelope = pochhammer(Monomial(-1, y=1, q=1), 1, None, order)
-    return _assert_y_bounded(envelope * total)
+    return _assert_y_bounded(envelope * _alternating_sum(order, k, lambda n: n))
 
 
 def build_all_partitions_2measure_gf(order: int) -> MultiSeries:
     """All partitions counted by x^(2-measure) y^length q^size:
     1/(yq; q)_inf times the q^(n(n+1)/2) alternating sum."""
-    inv1 = _inverse_factorials(order, 1, order)
-    total = MultiSeries.zero(order)
-    xpoch = MultiSeries.one(order)  # (x; q)_n; n <= order, so no factor is 1
-    xfactors = _factors(Monomial(1, x=1), 1, None, order)
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        sign = -1 if n % 2 else 1
-        head = MultiSeries.term(sign, order, q=n * (n + 1) // 2, y=n)
-        total = total + head * xpoch * inv1[n]
-        xpoch = xpoch * next(xfactors)
-        n += 1
+    total = _alternating_sum(order, 1, lambda n: n * (n + 1) // 2)
     for factor in _factors(Monomial(1, y=1, q=1), 1, None, order):
         total = total * factor.invert()
     return _assert_y_bounded(total)
@@ -371,25 +363,36 @@ def build_durfee_type_gf(order: int) -> MultiSeries:
     """Odd partitions counted by x^(2-modular sub-Durfee side)
     y^(2-modular Durfee side) q^size, assembled from the type I / type II
     splits around the 2-modular Durfee square."""
-    inv1 = _inverse_factorials(order, 1, order)
-    inv2 = _inverse_factorials(order, 2, order)
-    total = MultiSeries.one(order)
-    k = 1
-    while k * (2 * k - 1) <= order:
-        for m in range(0, k + 1):  # type I rows exceed the square
-            exponent = m * (2 * m - 1) + k * (2 * k + 1)
-            if exponent > order:
-                break
-            head = MultiSeries.term(1, order, q=exponent, x=m, y=k)
-            total = total + head * inv1[2 * m] * inv2[k - m]
-        for m in range(1, k + 1):  # type II row k equals 2k-1
-            exponent = (m - 1) * (2 * m - 1) + k * (2 * k - 1)
-            if exponent > order:
-                break
-            head = MultiSeries.term(1, order, q=exponent, x=m - 1, y=k)
-            total = total + head * inv1[2 * m - 1] * inv2[k - m]
-        k += 1
-    return _assert_y_bounded(total)
+
+    def cells():
+        yield 0, 0, 0, 0, 0  # the empty partition
+        k = 1
+        while k * (2 * k - 1) <= order:
+            for m in range(0, k + 1):  # type I rows exceed the square
+                exponent = m * (2 * m - 1) + k * (2 * k + 1)
+                if exponent > order:
+                    break
+                yield exponent, m, k, 2 * m, k - m
+            for m in range(1, k + 1):  # type II row k equals 2k-1
+                exponent = (m - 1) * (2 * m - 1) + k * (2 * k - 1)
+                if exponent > order:
+                    break
+                yield exponent, m - 1, k, 2 * m - 1, k - m
+            k += 1
+
+    return _assert_y_bounded(_double_sum(order, cells()))
+
+
+def _parity_cells(m: int, shift: int, y: int, order: int):
+    """Cells of the parity-index series over largest part ``m`` times
+    y^y q^shift, up to the first cell past the order (a has m's parity)."""
+    k, odd = (m + 1) // 2, m % 2
+    for j in range(odd, k + 1):
+        a = 2 * j - odd
+        exponent = shift + m + a * (a - 1) // 2
+        if exponent > order:
+            return
+        yield exponent, a, y, a, k - j
 
 
 def build_parity_index_gf(m: int, order: int) -> MultiSeries:
@@ -397,46 +400,28 @@ def build_parity_index_gf(m: int, order: int) -> MultiSeries:
     x^(parity index) q^size."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    inv1 = _inverse_factorials(order, 1, order)
-    inv2 = _inverse_factorials(order, 2, order)
-    total = MultiSeries.zero(order)
-    k = (m + 1) // 2
-    if m % 2 == 0:
-        for j in range(0, k + 1):
-            exponent = m + (2 * j) * (2 * j - 1) // 2
-            if exponent > order:
-                break
-            head = MultiSeries.term(1, order, q=exponent, x=2 * j)
-            total = total + head * inv1[2 * j] * inv2[k - j]
-    else:
-        for j in range(1, k + 1):
-            exponent = m + (2 * j - 1) * (2 * j - 2) // 2
-            if exponent > order:
-                break
-            head = MultiSeries.term(1, order, q=exponent, x=2 * j - 1)
-            total = total + head * inv1[2 * j - 1] * inv2[k - j]
-    return total
+    return _double_sum(order, _parity_cells(m, 0, 0, order))
 
 
 def build_alt_durfee_gf(order: int) -> MultiSeries:
     """Odd partitions counted by x^(alternating index)
     y^(2-modular Durfee side) q^size.
 
-    Type I contributes the parity-index series over largest part 2k shifted
-    by the square weight k(2k-1); type II the series over largest part 2k-1
+    Type I contributes the parity-index cells over largest part 2k shifted
+    by the square weight k(2k-1); type II the cells over largest part 2k-1
     shifted by (k-1)(2k-1), because there the appended part 2k-1 is not part
     of the partition being built.
     """
-    total = MultiSeries.one(order)
-    k = 1
-    while k * (2 * k - 1) <= order:
-        type_two = MultiSeries.term(1, order, q=(k - 1) * (2 * k - 1), y=k)
-        total = total + type_two * build_parity_index_gf(2 * k - 1, order)
-        if k * (2 * k - 1) + 2 * k <= order:
-            type_one = MultiSeries.term(1, order, q=k * (2 * k - 1), y=k)
-            total = total + type_one * build_parity_index_gf(2 * k, order)
-        k += 1
-    return _assert_y_bounded(total)
+
+    def cells():
+        yield 0, 0, 0, 0, 0  # the empty partition
+        k = 1
+        while k * (2 * k - 1) <= order:
+            yield from _parity_cells(2 * k - 1, (k - 1) * (2 * k - 1), k, order)
+            yield from _parity_cells(2 * k, k * (2 * k - 1), k, order)
+            k += 1
+
+    return _assert_y_bounded(_double_sum(order, cells()))
 
 
 _BUILDERS = {

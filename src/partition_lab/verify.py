@@ -412,10 +412,8 @@ def check_lemma51(mmax: int = 10, order: int = 30) -> VerificationReport:
         built = qseries.build("GF_PARITY", order, m=m)
         terms: dict[tuple[int, int, int], int] = {}
         for n in range(m, order + 1):
-            for p in partitions(n, max_part=m):
-                if p.parts[0] != m:
-                    continue
-                key = (n, parity_index(p.parts[::-1]), 0)
+            for rest in partitions(n - m, max_part=m):  # every part but one largest m
+                key = (n, parity_index(rest.parts[::-1] + (m,)), 0)
                 terms[key] = terms.get(key, 0) + 1
         expected = MultiSeries(order, terms)
         report = series_report(name, {"m": m, "order": order}, built, expected)

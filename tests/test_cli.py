@@ -114,6 +114,7 @@ class TestVerify:
             ("table", "involution", "--n", "-1"),
             ("verify", "LEMMA51", "--order", "0"),
             ("verify", "LEMMA51", "--order", "9", "--m", "10"),
+            ("verify", "all", "--order", "3"),
         ],
     )
     def test_empty_range_is_usage_error(self, capsys, argv):
