@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--order", type=int, default=None)
     ver.add_argument("--k", type=int, default=None)
     ver.add_argument("--m", type=int, default=None, help="mmax for LEMMA51")
-    ver.add_argument("--profile", default="desk")
+    ver.add_argument("--profile", choices=("desk",), default="desk")
     ver.set_defaults(func=_cmd_verify)
 
     table = commands.add_parser("table", help="emit the two-column involution table")

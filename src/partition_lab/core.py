@@ -167,23 +167,28 @@ def parity_index(values: Sequence[int]) -> int:
 
 
 def partitions(
-    n: int, *, max_part: int | None = None, distinct: bool = False
+    n: int, *, max_part: int | None = None, distinct: bool = False, odd: bool = False
 ) -> Iterator[Partition]:
     """Yield every partition of ``n`` in reverse-lexicographic order.
 
     ``max_part`` caps the largest part; ``distinct`` restricts to strict
-    partitions.  The stream is deterministic.
+    partitions and ``odd`` to partitions into odd parts, which are
+    generated directly rather than filtered.  The stream is deterministic.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)
+    step = -2 if odd else -1
     stack: list[int] = []
 
     def emit(remaining: int, cap: int) -> Iterator[Partition]:
         if remaining == 0:
             yield Partition(stack)
             return
-        for part in range(min(cap, remaining), 0, -1):
+        top = min(cap, remaining)
+        if odd and top % 2 == 0:
+            top -= 1
+        for part in range(top, 0, step):
             stack.append(part)
             yield from emit(remaining - part, part - 1 if distinct else part)
             stack.pop()

@@ -62,8 +62,8 @@ class FamilySpec:
 
 def enumerate_family(spec: FamilySpec):
     """Qualifying partitions of spec.n, reverse-lexicographic, each once."""
-    cap = spec.max_part if spec.max_part is not None else None
-    for p in partitions(spec.n, max_part=cap, distinct=spec.strict):
+    family = partitions(spec.n, max_part=spec.max_part, distinct=spec.strict, odd=spec.odd_parts)
+    for p in family:
         if spec.matches(p):
             yield p
 
@@ -84,19 +84,25 @@ def count_B(n: int, k: int, m: int) -> int:
     return sum(1 for _ in enumerate_family(FamilySpec(n, odd_parts=True, dur2=k, alt=m)))
 
 
-# -- enumeration series helpers -------------------------------------------------
+# -- enumeration helpers --------------------------------------------------------
 
 
-def _enumeration_series(order, xstat, ystat, **family) -> MultiSeries:
+def _tally(family, key) -> dict:
+    """How many partitions in ``family`` take each value of ``key(p)``."""
+    counts: dict = {}
+    for p in family:
+        value = key(p)
+        counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
+def _enumeration_series(order, key, **family) -> MultiSeries:
+    """Sum of q^n x^a y^b over ``partitions(n, **family)`` for n <= order,
+    where ``key(p)`` gives the exponents (a, b)."""
     terms: dict[tuple[int, int, int], int] = {}
-    distinct = family.get("strict", False)
-    odd = family.get("odd_parts", False)
     for n in range(order + 1):
-        for p in partitions(n, distinct=distinct):
-            if odd and not p.is_odd_parts():
-                continue
-            key = (n, xstat(p), ystat(p))
-            terms[key] = terms.get(key, 0) + 1
+        for (a, b), count in _tally(partitions(n, **family), key).items():
+            terms[(n, a, b)] = count
     return MultiSeries(order, terms)
 
 
@@ -128,7 +134,7 @@ def check_thm11(order: int = 30) -> VerificationReport:
 def check_eq11(order: int = 25) -> VerificationReport:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
-    expected = _enumeration_series(order, sol, lambda p: p.length, strict=True)
+    expected = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
     return series_report("EQ11", {"order": order}, built, expected)
 
 
@@ -139,7 +145,7 @@ def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
     for kk in ks:
         built = qseries.build("GF_KMEASURE", order, k=kk)
         expected = _enumeration_series(
-            order, lambda p: k_measure(p, kk), lambda p: p.length, strict=True
+            order, lambda p: (k_measure(p, kk), p.length), distinct=True
         )
         report = series_report("EQ31", {"order": order, "k": kk}, built, expected)
         if not report:
@@ -153,49 +159,21 @@ def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
 def check_eq_2measure_p(order: int = 20) -> VerificationReport:
     """2-measure series over all partitions against enumeration."""
     built = qseries.build("GF_2MEASURE_P", order)
-    expected = _enumeration_series(
-        order, lambda p: k_measure(p, 2), lambda p: p.length
-    )
+    expected = _enumeration_series(order, lambda p: (k_measure(p, 2), p.length))
     return series_report("EQ_2MEASURE_P", {"order": order}, built, expected)
-
-
-def _strict_buckets(n: int) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for p in partitions(n, distinct=True):
-        key = (p.length, sol(p))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _odd_buckets(n: int):
-    type1: dict[tuple[int, int], int] = {}
-    type2: dict[tuple[int, int], int] = {}
-    alt_counts: dict[tuple[int, int], int] = {}
-    for p in partitions(n):
-        if not p or not p.is_odd_parts():
-            continue
-        k = dur2(p)
-        kind, side = dur2_sub(p)
-        bucket = type1 if kind is DurfeeType.TYPE_I else type2
-        bucket[(k, side)] = bucket.get((k, side), 0) + 1
-        akey = (k, alternating_index(p))
-        alt_counts[akey] = alt_counts.get(akey, 0) + 1
-    return type1, type2, alt_counts
 
 
 def _check_cells(name: str, nmax: int, cells) -> VerificationReport:
     """Compare count cells for every n in 1..nmax; FAIL at the first mismatch.
 
-    ``cells(n, strict, type1, type2, alt)`` gets the bucket counts of size n
-    and yields one (label, left, right) triple per cell, to be equal.
+    ``cells(n)`` tallies the partitions of n it needs and yields one
+    (label, left, right) triple per cell, to be equal.
     """
     if nmax < 1:
         raise ValueError(f"{name} needs nmax >= 1; sizes up to {nmax} hold no cell")
     checked = 0
     for n in range(1, nmax + 1):
-        strict = _strict_buckets(n)
-        type1, type2, alt_counts = _odd_buckets(n)
-        for label, left, right in cells(n, strict, type1, type2, alt_counts):
+        for label, left, right in cells(n):
             checked += 1
             if left != right:
                 return VerificationReport(
@@ -212,11 +190,21 @@ def check_thm12(nmax: int = 26) -> VerificationReport:
     The (k, m) grid is derived from n so no cell is skipped.
     """
 
-    def cells(n, strict, type1, type2, _alt):
+    def cells(n):
+        strict = _tally(partitions(n, distinct=True), lambda p: (p.length, sol(p)))
+        odd = _tally(partitions(n, odd=True), lambda p: (dur2(p), *dur2_sub(p)))
         for k in range(1, n + 1):
             for m in range(0, k + 1):
-                yield f"type I k={k} m={m}", type1.get((k, m), 0), strict.get((2 * k, 2 * m), 0)
-                yield f"type II k={k} m={m}", type2.get((k, m), 0), strict.get((2 * k - 1, 2 * m + 1), 0)
+                yield (
+                    f"type I k={k} m={m}",
+                    odd.get((k, DurfeeType.TYPE_I, m), 0),
+                    strict.get((2 * k, 2 * m), 0),
+                )
+                yield (
+                    f"type II k={k} m={m}",
+                    odd.get((k, DurfeeType.TYPE_II, m), 0),
+                    strict.get((2 * k - 1, 2 * m + 1), 0),
+                )
 
     return _check_cells("THM12", nmax, cells)
 
@@ -230,7 +218,9 @@ def check_thm13(nmax: int = 26) -> VerificationReport:
     cells are asserted empty on the strict side.
     """
 
-    def cells(n, strict, _type1, _type2, alt_counts):
+    def cells(n):
+        strict = _tally(partitions(n, distinct=True), lambda p: (p.length, sol(p)))
+        alt_counts = _tally(partitions(n, odd=True), lambda p: (dur2(p), alternating_index(p)))
         for k in range(1, n + 1):
             for m in range(0, k + 1):
                 d = strict.get((k, m), 0)
@@ -242,13 +232,6 @@ def check_thm13(nmax: int = 26) -> VerificationReport:
     return _check_cells("THM13", nmax, cells)
 
 
-def _by_first(buckets: dict[tuple[int, int], int]) -> dict[int, int]:
-    totals: dict[int, int] = {}
-    for (first, _second), c in buckets.items():
-        totals[first] = totals.get(first, 0) + c
-    return totals
-
-
 def check_corollary(nmax: int = 26) -> VerificationReport:
     """Euler refinement through the 2-modular Durfee side.
 
@@ -258,13 +241,20 @@ def check_corollary(nmax: int = 26) -> VerificationReport:
     odd partitions with Durfee side j.
     """
 
-    def cells(n, strict, type1, type2, _alt):
-        strict_by_len = _by_first(strict)
-        t1_by_k = _by_first(type1)
-        t2_by_k = _by_first(type2)
+    def cells(n):
+        strict_by_len = _tally(partitions(n, distinct=True), lambda p: p.length)
+        odd = _tally(partitions(n, odd=True), lambda p: (dur2(p), dur2_sub(p)[0]))
         for j in range(1, n + 1):
-            yield f"j={j} type I vs 2j parts", t1_by_k.get(j, 0), strict_by_len.get(2 * j, 0)
-            yield f"j={j} type II vs 2j-1 parts", t2_by_k.get(j, 0), strict_by_len.get(2 * j - 1, 0)
+            yield (
+                f"j={j} type I vs 2j parts",
+                odd.get((j, DurfeeType.TYPE_I), 0),
+                strict_by_len.get(2 * j, 0),
+            )
+            yield (
+                f"j={j} type II vs 2j-1 parts",
+                odd.get((j, DurfeeType.TYPE_II), 0),
+                strict_by_len.get(2 * j - 1, 0),
+            )
 
     return _check_cells("COROLLARY", nmax, cells)
 
@@ -287,10 +277,7 @@ def check_gf4(order: int = 25) -> VerificationReport:
     """Durfee-type series against enumeration and the reindexed sol/length series."""
     built = qseries.build("GF_A_TYPES", order)
     enumerated = _enumeration_series(
-        order,
-        lambda p: dur2_sub(p)[1] if p else 0,
-        dur2,
-        odd_parts=True,
+        order, lambda p: (dur2_sub(p)[1] if p else 0, dur2(p)), odd=True
     )
     return _check_against_sol_len(
         "GF4", order, built, enumerated, lambda q, x, y: (q, x // 2, (y + 1) // 2)
@@ -301,7 +288,7 @@ def check_gf5(order: int = 25) -> VerificationReport:
     """Alternating-index series against enumeration and the reindexed series."""
     built = qseries.build("GF_B", order)
     enumerated = _enumeration_series(
-        order, alternating_index, dur2, odd_parts=True
+        order, lambda p: (alternating_index(p), dur2(p)), odd=True
     )
     return _check_against_sol_len(
         "GF5", order, built, enumerated, lambda q, x, y: (q, x, (y + 1) // 2)
@@ -314,9 +301,7 @@ def check_sylvester(nmax: int = 26) -> VerificationReport:
     for n in range(nmax + 1):
         images = set()
         total = 0
-        for p in partitions(n):
-            if not p.is_odd_parts():
-                continue
+        for p in partitions(n, odd=True):
             total += 1
             report = maps.sylvester_stats_check(p)
             if not report:
@@ -349,7 +334,6 @@ def check_involution(nmax: int = 12) -> VerificationReport:
         pairs = maps.enumerate_pairs(n)
         pair_count += len(pairs)
         signed: dict[tuple[int, int], int] = {}
-        fixed_weights: dict[tuple[int, int], int] = {}
         fixed_pairs = []
         for pair in pairs:
             image = maps.involution_phi(pair)
@@ -363,8 +347,6 @@ def check_involution(nmax: int = 12) -> VerificationReport:
                 if case is not maps.PhiCase.FIXED or pair.sign != 1:
                     return VerificationReport(name, params, False, witness=f"bad fixed point {pair}")
                 fixed_pairs.append(pair)
-                x, y, _q = pair.weight
-                fixed_weights[(x, y)] = fixed_weights.get((x, y), 0) + 1
             else:
                 icase, _, _ = maps.classify_pair(image)
                 expected = (
@@ -379,10 +361,8 @@ def check_involution(nmax: int = 12) -> VerificationReport:
             x, y, _q = pair.weight
             signed[(x, y)] = signed.get((x, y), 0) + pair.sign
         signed = {k: v for k, v in signed.items() if v}
-        strict_weights: dict[tuple[int, int], int] = {}
-        for t in partitions(n, distinct=True):
-            key = (k_measure(t, 2), t.length)
-            strict_weights[key] = strict_weights.get(key, 0) + 1
+        fixed_weights = _tally(fixed_pairs, lambda pair: pair.weight[:2])
+        strict_weights = _tally(partitions(n, distinct=True), lambda t: (k_measure(t, 2), t.length))
         if signed != strict_weights or fixed_weights != strict_weights:
             return VerificationReport(
                 name, params, False, witness=f"weight sums differ at total size {n}"
@@ -412,9 +392,9 @@ def check_lemma51(mmax: int = 10, order: int = 30) -> VerificationReport:
         built = qseries.build("GF_PARITY", order, m=m)
         terms: dict[tuple[int, int, int], int] = {}
         for n in range(m, order + 1):
-            for rest in partitions(n - m, max_part=m):  # every part but one largest m
-                key = (n, parity_index(rest.parts[::-1] + (m,)), 0)
-                terms[key] = terms.get(key, 0) + 1
+            rests = partitions(n - m, max_part=m)  # every part but one largest m
+            for index, count in _tally(rests, lambda rest: parity_index(rest.parts[::-1] + (m,))).items():
+                terms[(n, index, 0)] = count
         expected = MultiSeries(order, terms)
         report = series_report(name, {"m": m, "order": order}, built, expected)
         if not report:

@@ -154,8 +154,17 @@ class TestErrors:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
-    def test_unknown_checker_exits_two(self, capsys):
-        assert run(capsys, "verify", "NOPE")[0] == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "NOPE"),
+            ("verify", "THM11", "--profile", "nonsense"),
+            ("verify", "all", "--profile", "nonsense"),
+        ],
+    )
+    def test_unknown_checker_exits_two(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and "PASS" not in out
 
     @pytest.mark.parametrize(
         "argv",

@@ -217,18 +217,25 @@ class TestGenerator:
             assert sum(1 for _ in partitions(n, distinct=True)) == expected
 
     def test_distinct_and_max_part_filters(self):
-        for n in range(13):
+        for n in range(21):
             everything = list(partitions(n))
             strict = [p for p in everything if p.is_strict()]
             assert list(partitions(n, distinct=True)) == strict
             capped = [p for p in everything if not p or p.parts[0] <= 4]
             assert list(partitions(n, max_part=4)) == capped
+            # odd=True generates what the odd-parts filter keeps; an even
+            # cap (2, 4, 6) must drop to the odd part below it
+            for distinct in (False, True):
+                for max_part in (None, 1, 2, 3, 4, 6):
+                    family = {"distinct": distinct, "max_part": max_part}
+                    odd = [p for p in partitions(n, **family) if p.is_odd_parts()]
+                    assert list(partitions(n, odd=True, **family)) == odd, (n, family)
 
     def test_euler_strict_equals_odd(self):
         for n in range(31):
             strict = sum(1 for _ in partitions(n, distinct=True))
             odd = sum(1 for p in partitions(n) if p.is_odd_parts())
-            assert strict == odd
+            assert strict == odd == sum(1 for _ in partitions(n, odd=True))
 
     def test_determinism(self):
         first = [p.parts for p in partitions(9)]
