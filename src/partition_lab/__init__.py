@@ -39,7 +39,6 @@ from .qseries import (
     Monomial,
     MultiSeries,
     build,
-    check_finite_identity,
     gauss_binomial,
     pochhammer,
 )

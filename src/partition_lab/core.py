@@ -25,7 +25,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()) -> None:
         ordered = tuple(sorted(parts, reverse=True))
         for part in ordered:
-            if not isinstance(part, int) or part < 1:
+            if type(part) is not int or part < 1:  # bool is an int subclass
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         self.parts = ordered
 

@@ -3,8 +3,11 @@
 MultiSeries is the working ring: coefficients are Python ints (arbitrary
 precision), q-exponents are truncated at an inclusive order N, and x
 exponents may optionally carry their own truncation (needed only when an
-infinite product fails to stabilise in q alone).  Every division is by one
-binomial factor (1 - c q^s x^a y^b) at a time.  LaurentPoly quarantines
+infinite product fails to stabilise in q alone).  Every q-product is built
+one binomial factor (1 - c q^s x^a y^b) at a time by two O(terms) steps:
+multiplying by it is one shifted add, and dividing by it walks the exact
+recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q (and x), so no
+inverse series is ever formed.  LaurentPoly quarantines
 the negative q-powers required by the terminating hypergeometric checks;
 MultiSeries never holds a negative exponent.  No floating point anywhere.
 """
@@ -130,7 +133,8 @@ class MultiSeries:
 
         Every non-constant term must carry a positive exponent in a
         truncated dimension, otherwise the geometric expansion would not
-        terminate.
+        terminate.  The builders divide by binomials only, through
+        ``_over_binomial``; this general inverse is its independent reference.
         """
         c = self.terms.get((0, 0, 0), 0)
         if c not in (1, -1):
@@ -154,6 +158,56 @@ class MultiSeries:
                 )
         return result * c
 
+    # -- binomial steps ------------------------------------------------------
+
+    def _times_binomial(self, c: int, s: int, a: int, b: int) -> "MultiSeries":
+        """This series times (1 - c q^s x^a y^b): one shifted add."""
+        if s < 0 or a < 0 or b < 0:
+            raise ValueError(f"negative exponent in binomial {(s, a, b)}")
+        out = dict(self.terms)
+        limit = self.order - s
+        for (q, x, y), coeff in self.terms.items():
+            if q <= limit:
+                key = (q + s, x + a, y + b)
+                out[key] = out.get(key, 0) - c * coeff
+        return MultiSeries(self.order, out, xorder=self.xorder)
+
+    def _over_binomial(self, c: int, s: int, a: int, b: int) -> "MultiSeries":
+        """This series divided by (1 - c q^s x^a y^b), by the exact
+        recurrence g[k] = f[k] + c g[k - (s, a, b)].
+
+        The terms are walked level by level, a level being the q-exponent
+        (the x-exponent when s = 0), so each g[k] is final before it feeds
+        k + (s, a, b) on a higher level.  A shift that raises neither q nor
+        a truncated x gives no such order, and no inverse, so it is rejected.
+        """
+        if s < 0 or a < 0 or b < 0:
+            raise ValueError(f"negative exponent in binomial {(s, a, b)}")
+        order, xorder = self.order, self.xorder
+        if s:
+            axis, step, top = 0, s, order
+        elif a and xorder is not None:
+            axis, step, top = 1, a, xorder
+        else:
+            raise ValueError("binomial is not invertible under this truncation")
+        out = dict(self.terms)
+        levels: list[list[Key]] = [[] for _ in range(top + 1)]
+        for key in out:
+            levels[key[axis]].append(key)
+        for level in range(top + 1 - step):
+            above = levels[level + step]
+            for key in levels[level]:
+                q, x, y = key
+                if xorder is not None and x + a > xorder:
+                    continue
+                shifted = (q + s, x + a, y + b)
+                if shifted in out:
+                    out[shifted] += c * out[key]
+                else:
+                    out[shifted] = c * out[key]
+                    above.append(shifted)
+        return MultiSeries(order, out, xorder=xorder)
+
     # -- inspection ----------------------------------------------------------
 
     def coefficient(self, q: int, x: int = 0, y: int = 0) -> int:
@@ -161,10 +215,6 @@ class MultiSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient_of_q(self, q: int) -> dict[tuple[int, int], int]:
-        """The coefficient of q^q as a map (x-exponent, y-exponent) -> int."""
-        return {(x, y): c for (qq, x, y), c in self.terms.items() if qq == q}
 
     def map_exponents(self, fn) -> "MultiSeries":
         """Rebuild the series sending each exponent triple through ``fn``."""
@@ -196,21 +246,6 @@ class MultiSeries:
         return f"<MultiSeries order={self.order} terms={len(self.terms)}>"
 
 
-def _factors(a: Monomial, step: int, n: int | None, order: int, *, xorder: int | None = None):
-    """The binomial factors (1 - a q^(step k)), k < n (every k if n is None),
-    that survive truncation at ``order``.  The q-shifts only grow, so the
-    first shift past the order ends the product."""
-    k = 0
-    while n is None or k < n:
-        shift = a.q + step * k
-        if shift > order:
-            return
-        yield MultiSeries.one(order, xorder=xorder) - MultiSeries.term(
-            a.coeff, order, q=shift, x=a.x, y=a.y, xorder=xorder
-        )
-        k += 1
-
-
 def pochhammer(
     a: Monomial, step: int, n: int | None, order: int, *, xorder: int | None = None
 ) -> MultiSeries:
@@ -226,8 +261,11 @@ def pochhammer(
     if n is None and not (a.q >= 1 or (xorder is not None and a.x >= 1)):
         raise ValueError("infinite product diverges for this monomial")
     result = MultiSeries.one(order, xorder=xorder)
-    for factor in _factors(a, step, n, order, xorder=xorder):
-        result = result * factor
+    k = 0
+    # the q-shifts only grow, so the first factor past the order ends the product
+    while (n is None or k < n) and (shift := a.q + step * k) <= order:
+        result = result._times_binomial(a.coeff, shift, a.x, a.y)
+        k += 1
     return result
 
 
@@ -275,11 +313,11 @@ def _inverse_factorials(
     count: int, step: int, order: int, *, xorder: int | None = None
 ) -> list[MultiSeries]:
     """[1/(q^step; q^step)_n for n in 0..count] as truncated series, each
-    the previous one times the inverse of one more binomial factor; past
-    the order the factors are 1, so the list repeats its last entry."""
+    the previous one divided by one more binomial factor; past the order
+    the factors are 1, so the list repeats its last entry."""
     inverses = [MultiSeries.one(order, xorder=xorder)]
-    for factor in _factors(Monomial(1, q=step), step, count, order, xorder=xorder):
-        inverses.append(inverses[-1] * factor.invert())
+    for n in range(1, min(count, order // step) + 1):
+        inverses.append(inverses[-1]._over_binomial(1, step * n, 0, 0))
     return inverses + [inverses[-1]] * (count + 1 - len(inverses))
 
 
@@ -306,21 +344,23 @@ def _double_sum(order: int, cells) -> MultiSeries:
 
 
 def _alternating_sum(order: int, step: int, exponent) -> MultiSeries:
-    """Sum of (-1)^n y^n q^exponent(n) (x; q^step)_n / (q; q)_n over the n
-    with exponent(n) <= order; exponent(n) >= n grows with n."""
-    inv1 = _inverse_factorials(order, 1, order)
-    total = MultiSeries.zero(order)
-    xpoch = MultiSeries.one(order)  # (x; q^step)_n, one factor more per n
-    xfactors = _factors(Monomial(1, x=1), step, None, order)
+    """Sum of t(n) = (-1)^n y^n q^exponent(n) (x; q^step)_n / (q; q)_n over
+    the n with exponent(n) <= order; exponent(n) >= n grows with n.  Each
+    term comes from the one before by the recurrence
+    t(n+1) = t(n) (-y q^(e(n+1) - e(n))) (1 - x q^(step n)) / (1 - q^(n+1))."""
+    total: dict[Key, int] = {}
+    e = exponent(0)
+    term = MultiSeries.term(1, order, q=e)
     n = 0
-    while (e := exponent(n)) <= order:
-        head = MultiSeries.term(-1 if n % 2 else 1, order, q=e, y=n)
-        total = total + head * xpoch * inv1[n]
-        factor = next(xfactors, None)
-        if factor is not None:
-            xpoch = xpoch * factor
+    while e <= order:
+        for key, coeff in term.terms.items():
+            total[key] = total.get(key, 0) + coeff
+        e_next = exponent(n + 1)
+        head = MultiSeries.term(-1, order, q=e_next - e, y=1)
+        term = (head * term)._times_binomial(1, step * n, 1, 0)._over_binomial(1, n + 1, 0, 0)
+        e = e_next
         n += 1
-    return total
+    return MultiSeries(order, total)
 
 
 def build_run_double_sum_gf(order: int, x_weight) -> MultiSeries:
@@ -346,16 +386,18 @@ def build_k_measure_gf(k: int, order: int) -> MultiSeries:
     strict partitions counted by x^(k-measure) y^length q^size."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    envelope = pochhammer(Monomial(-1, y=1, q=1), 1, None, order)
-    return _assert_y_bounded(envelope * _alternating_sum(order, k, lambda n: n))
+    total = _alternating_sum(order, k, lambda n: n)
+    for shift in range(1, order + 1):
+        total = total._times_binomial(-1, shift, 0, 1)
+    return _assert_y_bounded(total)
 
 
 def build_all_partitions_2measure_gf(order: int) -> MultiSeries:
     """All partitions counted by x^(2-measure) y^length q^size:
     1/(yq; q)_inf times the q^(n(n+1)/2) alternating sum."""
     total = _alternating_sum(order, 1, lambda n: n * (n + 1) // 2)
-    for factor in _factors(Monomial(1, y=1, q=1), 1, None, order):
-        total = total * factor.invert()
+    for shift in range(1, order + 1):
+        total = total._over_binomial(1, shift, 0, 1)
     return _assert_y_bounded(total)
 
 
@@ -539,15 +581,12 @@ def check_qbinom(a: Monomial, order: int) -> VerificationReport:
     inverses = _inverse_factorials(order, 1, order, xorder=order)
     lhs = MultiSeries.zero(order, xorder=order)
     apoch = MultiSeries.one(order, xorder=order)  # (a; q)_m, one factor more per m
-    afactors = _factors(a, 1, None, order, xorder=order)
     for m in range(order + 1):
         lhs = lhs + MultiSeries.term(1, order, x=m, xorder=order) * apoch * inverses[m]
-        factor = next(afactors, None)
-        if factor is not None:
-            apoch = apoch * factor
+        apoch = apoch._times_binomial(a.coeff, a.q + m, a.x, a.y)
     rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q), 1, None, order, xorder=order)
-    for factor in _factors(Monomial(1, x=1), 1, None, order, xorder=order):
-        rhs = rhs * factor.invert()
+    for shift in range(order + 1):
+        rhs = rhs._over_binomial(1, shift, 1, 0)
     label = {"a": f"{a.coeff}*q^{a.q}" if (a.x, a.y) == (0, 0) else repr(a), "order": order}
     return series_report("QBINOM", label, lhs, rhs)
 
@@ -600,14 +639,3 @@ def check_qchu(i: int, j: int) -> VerificationReport:
     return VerificationReport(
         "QCHU", {"i": i, "j": j}, False, witness="sides differ as Laurent polynomials"
     )
-
-
-def check_finite_identity(name: str, **params) -> VerificationReport:
-    """Dispatch for the exact finite-identity checkers."""
-    if name == "QBINOM":
-        return check_qbinom(params["a"], params["order"])
-    if name == "XQ2_EXPANSION":
-        return check_xq2_expansion(params["n"])
-    if name == "QCHU":
-        return check_qchu(params["i"], params["j"])
-    raise ValueError(f"unknown finite identity {name!r}")

@@ -78,6 +78,8 @@ class TestPartitionType:
             Partition([3, 0])
         with pytest.raises(ValueError):
             Partition([3, -1])
+        with pytest.raises(ValueError):  # bool passes isinstance(part, int)
+            Partition([True, 2])
 
     def test_parse_accepts_canonical_literals(self):
         assert parse("") == Partition()

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partition_lab.core import k_measure, partitions, sol
 from partition_lab.qseries import (
@@ -14,7 +14,6 @@ from partition_lab.qseries import (
     Monomial,
     MultiSeries,
     build,
-    check_finite_identity,
     check_qbinom,
     check_qchu,
     check_xq2_expansion,
@@ -126,6 +125,63 @@ class TestInvert:
             (MultiSeries.one(ORDER) + MultiSeries.term(1, ORDER, x=1)).invert()
 
 
+binomials = st.tuples(
+    st.sampled_from([1, -1, 2, -3]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)
+)
+
+
+def one_minus(c, s, a, b, *, xorder=None):
+    """The binomial 1 - c q^s x^a y^b as a series, for the reference paths."""
+    return MultiSeries.one(ORDER, xorder=xorder) - MultiSeries.term(
+        c, ORDER, q=s, x=a, y=b, xorder=xorder
+    )
+
+
+class TestBinomialSteps:
+    """The two O(terms) steps against full products with invert()."""
+
+    @settings(max_examples=60)
+    @given(small_series, binomials)
+    # f holds both k and k + shift, with c != 1
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (2, 1, 0, 0))
+    def test_steps_match_products(self, f, m):
+        assert f._times_binomial(*m) == f * one_minus(*m)
+        if m[1] >= 1:
+            assert f._over_binomial(*m) == f * one_minus(*m).invert()
+
+    @settings(max_examples=60)
+    @given(small_series, binomials.filter(lambda m: m[1] + m[2] >= 1), st.integers(0, 3))
+    def test_steps_match_products_under_x_truncation(self, f, m, xorder):
+        # s = 0 with a >= 1 divides by a binomial only the x truncation makes invertible
+        f = MultiSeries(ORDER, f.terms, xorder=xorder)
+        assert f._times_binomial(*m) == f * one_minus(*m, xorder=xorder)
+        assert f._over_binomial(*m) == f * one_minus(*m, xorder=xorder).invert()
+
+    def test_steps_reject_bad_binomials(self):
+        f = MultiSeries.one(ORDER)
+        with pytest.raises(ValueError):
+            pochhammer(Monomial(1, q=-1), 1, 3, 5)
+        for step in (f._times_binomial, f._over_binomial):
+            with pytest.raises(ValueError):
+                step(1, 1, -1, 0)
+        with pytest.raises(ValueError):
+            f._over_binomial(1, 0, 1, 0)  # x is not truncated
+        with pytest.raises(ValueError):  # y never is
+            MultiSeries.one(ORDER, xorder=3)._over_binomial(1, 0, 0, 1)
+
+    def test_no_builder_calls_invert(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("invert() called")
+
+        monkeypatch.setattr(MultiSeries, "invert", refuse)
+        for name, params in (
+            ("LHS_THM11", {}), ("RHS_THM11", {}), ("GF_SOL_LEN", {}), ("GF_KMEASURE", {"k": 3}),
+            ("GF_2MEASURE_P", {}), ("GF_A_TYPES", {}), ("GF_B", {}), ("GF_PARITY", {"m": 3}),
+        ):
+            build(name, 10, **params)
+        assert check_qbinom(Monomial(1, q=1), 6).passed
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(Monomial(1, q=1), 1, 0, ORDER) == MultiSeries.one(ORDER)
@@ -225,7 +281,7 @@ class TestBuilders:
             expected[key] = expected.get(key, 0) + 1
         assert expected == {(1, 1): 1, (2, 2): 2, (1, 3): 1}
         series = build("GF_SOL_LEN", 10)
-        assert series.coefficient_of_q(6) == expected
+        assert {(x, y): c for (q, x, y), c in series.terms.items() if q == 6} == expected
 
     def test_parity_series_smallest_case(self):
         series = build("GF_PARITY", 10, m=2)
@@ -340,6 +396,14 @@ class TestDeepCrossChecks:
     def test_all_partition_series_counts_p_n(self):
         assert at_x_y_one(build("GF_2MEASURE_P", 60)) == partition_counts(60)
 
+    def test_two_measure_sides_agree(self):
+        # THM11: the run double sum equals the alternating Pochhammer sum
+        assert build("LHS_THM11", 90) == build("RHS_THM11", 90)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_k_measure_series_count_q_n(self, k):
+        assert at_x_y_one(build("GF_KMEASURE", 90, k=k)) == strict_counts(90)
+
     def test_recurrences(self):
         assert strict_counts(10) == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
         assert partition_counts(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -396,8 +460,6 @@ class TestFiniteIdentities:
         assert check_qbinom(Monomial(1, q=1), 10).passed
 
     def test_dispatch(self):
-        assert check_finite_identity("XQ2_EXPANSION", n=3).passed
-        assert check_finite_identity("QCHU", i=1, j=1).passed
-        assert check_finite_identity("QBINOM", a=Monomial(-1, q=1), order=8).passed
-        with pytest.raises(ValueError):
-            check_finite_identity("NOPE")
+        assert check_xq2_expansion(3).passed
+        assert check_qchu(1, 1).passed
+        assert check_qbinom(Monomial(-1, q=1), 8).passed
