@@ -1,8 +1,7 @@
 """Integer partitions and their scalar statistics.
 
 A partition is stored once, canonically, as a non-increasing tuple of
-positive integers.  Every statistic here is a pure function of that tuple,
-so values are safe to share between threads.
+positive integers.  Every statistic here is a pure function of that tuple.
 """
 
 from __future__ import annotations
@@ -174,23 +173,37 @@ def partitions(
     ``max_part`` caps the largest part; ``distinct`` restricts to strict
     partitions and ``odd`` to partitions into odd parts, which are
     generated directly rather than filtered.  The stream is deterministic.
+
+    One explicit-stack loop: fill greedily with as many copies of the
+    largest allowed part as fit (one when ``distinct``) and yield at ``n``;
+    on a dead end or after a yield, drop the trailing 1s, pop a part p and
+    retry with p - 1 (p - 2 when ``odd``).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else min(max_part, n)
-    step = -2 if odd else -1
+    if max_part is not None and max_part < 0:
+        raise ValueError("max_part must be nonnegative")
+    step = 2 if odd else 1
     stack: list[int] = []
-
-    def emit(remaining: int, cap: int) -> Iterator[Partition]:
-        if remaining == 0:
+    remaining, top = n, n if max_part is None else max_part
+    while True:
+        while remaining:
+            top = min(top, remaining)
+            if odd and not top % 2:
+                top -= 1
+            if top < 1:
+                break  # dead end: no allowed part fits
+            copies = 1 if distinct else remaining // top
+            stack += [top] * copies
+            remaining -= top * copies
+            if distinct:
+                top -= 1
+        if not remaining:
             yield Partition(stack)
+        ones = stack.count(1)  # a 1 has no smaller part to retry with
+        del stack[len(stack) - ones :]
+        if not stack:
             return
-        top = min(cap, remaining)
-        if odd and top % 2 == 0:
-            top -= 1
-        for part in range(top, 0, step):
-            stack.append(part)
-            yield from emit(remaining - part, part - 1 if distinct else part)
-            stack.pop()
-
-    yield from emit(n, cap)
+        part = stack.pop()
+        remaining += ones + part
+        top = part - step

@@ -16,6 +16,7 @@ class VerificationReport:
     passed: bool = True
     witness: str | None = None
     counts: dict[str, int] = field(default_factory=dict)
+    elapsed_s: float | None = field(default=None, compare=False)  # set by verify.verify
 
     def __bool__(self) -> bool:
         return self.passed
@@ -53,6 +54,7 @@ class VerificationReport:
             "status": self.status,
             "witness": self.witness,
             "counts": dict(self.counts),
+            "elapsed_s": self.elapsed_s,
         }
 
 

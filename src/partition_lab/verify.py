@@ -7,6 +7,7 @@ failure carries the first counterexample found.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from . import maps, qseries
@@ -572,7 +573,8 @@ _LEAST_BOUND = {"nmax": 0, "order": 0, "mmax": 1}
 
 
 def verify(name: str, **bounds) -> VerificationReport:
-    """Run one named checker, using desk-profile bounds for anything unset."""
+    """Run one named checker, using desk-profile bounds for anything unset;
+    the report's ``elapsed_s`` is the checker's wall time."""
     try:
         func, accepted = CHECKERS[name]
     except KeyError:
@@ -588,7 +590,10 @@ def verify(name: str, **bounds) -> VerificationReport:
         least = _LEAST_BOUND.get(key)
         if least is not None and value < least:
             raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")
-    return func(**kwargs)
+    start = time.perf_counter()
+    report = func(**kwargs)
+    report.elapsed_s = time.perf_counter() - start
+    return report
 
 
 def verify_all(profile: str = "desk"):

@@ -81,7 +81,7 @@ class TestSeries:
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "THM11", "--order", "0")
-        assert code == 0 and "THM11 order<=0 PASS" in out
+        assert code == 0 and out == "THM11 order<=0 PASS\n"
 
     def test_fail_exit_one_with_witness(self, capsys, monkeypatch):
         from partition_lab import verify as verify_module
@@ -100,6 +100,8 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["name"] == "THM11" and payload[0]["status"] == "PASS"
+        elapsed = payload[0]["elapsed_s"]
+        assert isinstance(elapsed, float) and elapsed >= 0
 
     @pytest.mark.parametrize(
         "argv",

@@ -74,12 +74,26 @@ class TestPartitionType:
 
     def test_constructor_sorts_and_rejects(self):
         assert Partition([1, 3, 2]).parts == (3, 2, 1)
+        assert Partition([]).parts == ()
         with pytest.raises(ValueError):
             Partition([3, 0])
         with pytest.raises(ValueError):
             Partition([3, -1])
         with pytest.raises(ValueError):  # bool passes isinstance(part, int)
             Partition([True, 2])
+
+    @pytest.mark.parametrize(
+        "parts, bad",
+        [
+            ([2.0], "2.0"),
+            ([True], "True"),
+            ([3, 1.5], "1.5"),
+            ((x for x in (2, 0)), "0"),
+        ],
+    )
+    def test_constructor_names_the_bad_part(self, parts, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            Partition(parts)
 
     def test_parse_accepts_canonical_literals(self):
         assert parse("") == Partition()
@@ -205,7 +219,43 @@ class TestParityIndex:
         assert parity_index(()) == 0
 
 
+def _reference_partitions(n, max_part=None, distinct=False, odd=False):
+    """The recursive generator that the explicit-stack walk replaced, kept
+    as an independent oracle for its order."""
+    stack = []
+
+    def emit(remaining, cap):
+        if remaining == 0:
+            yield stack[:]
+            return
+        top = min(cap, remaining)
+        if odd and top % 2 == 0:
+            top -= 1
+        for part in range(top, 0, -2 if odd else -1):
+            stack.append(part)
+            yield from emit(remaining - part, part - 1 if distinct else part)
+            stack.pop()
+
+    yield from emit(n, n if max_part is None else min(max_part, n))
+
+
 class TestGenerator:
+    def test_order_matches_recursive_reference(self):
+        for n in range(23):
+            for distinct, odd in itertools.product((False, True), repeat=2):
+                for max_part in (None, 0, 1, 2, 3, 4, 6, n, n + 3):
+                    family = {"max_part": max_part, "distinct": distinct, "odd": odd}
+                    walked = [list(p.parts) for p in partitions(n, **family)]
+                    assert walked == list(_reference_partitions(n, **family)), (n, family)
+
+    def test_rejects_negative_arguments(self):
+        # the checks run when the generator starts, as for any generator
+        with pytest.raises(ValueError, match="n must be"):
+            list(partitions(-1))
+        for n in (0, 5):  # once [Partition('0')] and nothing, respectively
+            with pytest.raises(ValueError, match="max_part must be"):
+                list(partitions(n, max_part=-1))
+
     def test_reverse_lex_order(self):
         listing = [p.parts for p in partitions(6)]
         assert listing[0] == (6,)

@@ -1,5 +1,7 @@
 """Family enumeration, counting functions, checkers, and example sets."""
 
+import dataclasses
+
 import pytest
 
 from partition_lab.core import parse, sol
@@ -109,6 +111,13 @@ class TestCheckers:
     def test_trivial_order_zero(self):
         assert verify("THM11", order=0).passed
 
+    def test_verify_records_elapsed_time(self):
+        report = verify("THM12", nmax=5)
+        assert isinstance(report.elapsed_s, float) and report.elapsed_s >= 0
+        assert report.to_dict()["elapsed_s"] == report.elapsed_s
+        # the time is not part of a report's identity
+        assert report == dataclasses.replace(report, elapsed_s=None)
+
     def test_verify_all_runs_every_checker(self, monkeypatch):
         # shrink the bounds so the full sweep stays fast
         from partition_lab import verify as verify_module
@@ -155,6 +164,7 @@ class TestCheckers:
         for report in reports:
             assert report.passed, report.line()
             assert report.counts and all(v > 0 for v in report.counts.values()), report.line()
+            assert isinstance(report.elapsed_s, float) and report.elapsed_s >= 0, report.line()
         assert {r.name: r.counts for r in reports if r.name in pinned} == pinned
 
 
@@ -181,6 +191,7 @@ class TestReports:
         report = VerificationReport("Y", {"nmax": 5}, True, counts={"cells": 7})
         data = report.to_dict()
         assert data["status"] == "PASS" and data["counts"] == {"cells": 7}
+        assert "elapsed_s" in data and data["elapsed_s"] is None  # only verify() times
 
 
 class TestExampleSets:
