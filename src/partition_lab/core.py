@@ -168,8 +168,9 @@ def parity_index(values: Sequence[int]) -> int:
 def partitions(
     n: int, *, max_part: int | None = None, distinct: bool = False, odd: bool = False
 ) -> Iterator[Partition]:
-    """Yield every partition of ``n`` in reverse-lexicographic order.
+    """Iterate over every partition of ``n`` in reverse-lexicographic order.
 
+    The arguments are checked when called, before iteration starts.
     ``max_part`` caps the largest part; ``distinct`` restricts to strict
     partitions and ``odd`` to partitions into odd parts, which are
     generated directly rather than filtered.  The stream is deterministic.
@@ -183,9 +184,13 @@ def partitions(
         raise ValueError("n must be nonnegative")
     if max_part is not None and max_part < 0:
         raise ValueError("max_part must be nonnegative")
+    return _walk(n, n if max_part is None else max_part, distinct, odd)
+
+
+def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
     step = 2 if odd else 1
     stack: list[int] = []
-    remaining, top = n, n if max_part is None else max_part
+    remaining = n
     while True:
         while remaining:
             top = min(top, remaining)

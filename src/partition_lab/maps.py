@@ -33,7 +33,7 @@ class LabeledPartition:
     def __init__(self, entries=()) -> None:
         normal = []
         for value, is_x in entries:
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # bool is an int subclass
                 raise ValueError(f"part values must be positive integers, got {value!r}")
             normal.append((value, bool(is_x)))
         normal.sort(key=lambda e: (-e[0], 0 if e[1] else 1))
@@ -320,6 +320,14 @@ def _hook_lengths(p: Partition) -> list[int]:
     return out
 
 
+def _hook_image(p: Partition, hooks: list[int]) -> Partition:
+    # the hook readings of p, a trailing zero dropped, must be strict of size |p|
+    image = Partition(hooks[:-1] if hooks[-1] == 0 else hooks)
+    if not image.is_strict() or image.size != p.size:
+        raise RuntimeError(f"hooks of {p} gave {image}, not a strict partition of {p.size}")
+    return image
+
+
 def sylvester(p: Partition) -> Partition:
     """Sylvester's hook bijection from odd partitions to strict partitions.
 
@@ -330,13 +338,7 @@ def sylvester(p: Partition) -> Partition:
     """
     if not p:
         return Partition()
-    image = _hook_lengths(p)
-    if image[-1] == 0:
-        image.pop()
-    result = Partition(image)
-    if not result.is_strict() or result.size != p.size:
-        raise RuntimeError(f"hooks of {p} gave {result}, not a strict partition of {p.size}")
-    return result
+    return _hook_image(p, _hook_lengths(p))
 
 
 def sylvester_stats_check(p: Partition) -> VerificationReport:
@@ -351,9 +353,9 @@ def sylvester_stats_check(p: Partition) -> VerificationReport:
     params = {"partition": str(p)}
     if not p:
         return VerificationReport(name, params, True)
-    image = sylvester(p)
-    k = dur2(p)
     ell = _hook_lengths(p)
+    image = _hook_image(p, ell)
+    k = dur2(p)
     problems: list[str] = []
     if image.size != p.size:
         problems.append(f"size {p.size} -> {image.size}")

@@ -1,12 +1,11 @@
 """Exact truncated formal power series in q over Z[x, y].
 
 MultiSeries is the working ring: coefficients are Python ints (arbitrary
-precision), q-exponents are truncated at an inclusive order N, and x
-exponents may optionally carry their own truncation (needed only when an
-infinite product fails to stabilise in q alone).  Every q-product is built
+precision) and q-exponents are truncated at an inclusive order N, the only
+truncation; x and y exponents are never cut.  Every q-product is built
 one binomial factor (1 - c q^s x^a y^b) at a time by two O(terms) steps:
-multiplying by it is one shifted add, and dividing by it walks the exact
-recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q (and x), so no
+multiplying by it is one shifted add, and dividing by it (s >= 1) walks the
+exact recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q, so no
 inverse series is ever formed.  LaurentPoly quarantines
 the negative q-powers required by the terminating hypergeometric checks;
 MultiSeries never holds a negative exponent.  No floating point anywhere.
@@ -34,19 +33,15 @@ class Monomial:
 class MultiSeries:
     """Formal power series in q, truncated at ``order``, coefficients in Z[x, y].
 
-    ``xorder`` optionally truncates the x exponents as well; all ring
-    operations require identical truncation settings.
+    Only q is truncated; all ring operations require the same order.
     """
 
-    __slots__ = ("order", "xorder", "terms")
+    __slots__ = ("order", "terms")
 
-    def __init__(
-        self, order: int, terms: dict[Key, int] | None = None, *, xorder: int | None = None
-    ) -> None:
+    def __init__(self, order: int, terms: dict[Key, int] | None = None) -> None:
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.order = order
-        self.xorder = xorder
         kept: dict[Key, int] = {}
         if terms:
             for (q, x, y), coeff in terms.items():
@@ -54,32 +49,27 @@ class MultiSeries:
                     raise ValueError(f"negative exponent in term {(q, x, y)}")
                 if coeff == 0 or q > order:
                     continue
-                if xorder is not None and x > xorder:
-                    continue
                 kept[(q, x, y)] = coeff
         self.terms = kept
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, *, xorder: int | None = None) -> "MultiSeries":
-        return cls(order, {}, xorder=xorder)
+    def zero(cls, order: int) -> "MultiSeries":
+        return cls(order, {})
 
     @classmethod
-    def one(cls, order: int, *, xorder: int | None = None) -> "MultiSeries":
-        return cls(order, {(0, 0, 0): 1}, xorder=xorder)
+    def one(cls, order: int) -> "MultiSeries":
+        return cls(order, {(0, 0, 0): 1})
 
     @classmethod
-    def term(
-        cls, coeff: int, order: int, *, q: int = 0, x: int = 0, y: int = 0,
-        xorder: int | None = None,
-    ) -> "MultiSeries":
-        return cls(order, {(q, x, y): coeff}, xorder=xorder)
+    def term(cls, coeff: int, order: int, *, q: int = 0, x: int = 0, y: int = 0) -> "MultiSeries":
+        return cls(order, {(q, x, y): coeff})
 
     # -- ring operations ----------------------------------------------------
 
     def _require_compatible(self, other: "MultiSeries") -> None:
-        if (self.order, self.xorder) != (other.order, other.xorder):
+        if self.order != other.order:
             raise ValueError("series truncation orders differ")
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
@@ -87,43 +77,34 @@ class MultiSeries:
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0) + coeff
-        return MultiSeries(self.order, merged, xorder=self.xorder)
+        return MultiSeries(self.order, merged)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self + (-other)
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries(
-            self.order, {k: -c for k, c in self.terms.items()}, xorder=self.xorder
-        )
+        return MultiSeries(self.order, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MultiSeries(
-                self.order, {k: other * c for k, c in self.terms.items()}, xorder=self.xorder
-            )
+            return MultiSeries(self.order, {k: other * c for k, c in self.terms.items()})
         self._require_compatible(other)
         out: dict[Key, int] = {}
-        order, xo = self.order, self.xorder
+        order = self.order
         for (q1, x1, y1), c1 in self.terms.items():
             for (q2, x2, y2), c2 in other.terms.items():
                 q = q1 + q2
                 if q > order:
                     continue
-                x = x1 + x2
-                if xo is not None and x > xo:
-                    continue
-                key = (q, x, y1 + y2)
+                key = (q, x1 + x2, y1 + y2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiSeries(order, out, xorder=self.xorder)
+        return MultiSeries(order, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiSeries):
-            return (self.order, self.xorder, self.terms) == (
-                other.order, other.xorder, other.terms
-            )
+            return (self.order, self.terms) == (other.order, other.terms)
         return NotImplemented
 
     __hash__ = None  # mutable dict inside
@@ -131,30 +112,28 @@ class MultiSeries:
     def invert(self) -> "MultiSeries":
         """Multiplicative inverse; the constant term must be +1 or -1.
 
-        Every non-constant term must carry a positive exponent in a
-        truncated dimension, otherwise the geometric expansion would not
-        terminate.  The builders divide by binomials only, through
-        ``_over_binomial``; this general inverse is its independent reference.
+        Every non-constant term must carry a positive q-exponent, otherwise
+        the geometric expansion would not terminate.  The builders divide by
+        binomials only, through ``_over_binomial``; this general inverse is
+        its independent reference.
         """
         c = self.terms.get((0, 0, 0), 0)
         if c not in (1, -1):
             raise ValueError("cannot invert a series whose constant term is not +1/-1")
-        order, xorder = self.order, self.xorder
-        u = MultiSeries.one(order, xorder=xorder) - self * c
-        for (q, x, _y) in u.terms:
-            if q + (x if xorder is not None else 0) < 1:
-                raise ValueError("series is not invertible under this truncation")
-        bound = order + (xorder or 0)
-        result = MultiSeries.one(order, xorder=xorder)
+        order = self.order
+        u = MultiSeries.one(order) - self * c
+        if any(q < 1 for (q, _x, _y) in u.terms):
+            raise ValueError("series is not invertible under this truncation")
+        result = MultiSeries.one(order)
         power = u
         steps = 0
         while power.terms:
             result = result + power
             power = power * u
             steps += 1
-            if steps > bound + 1:
+            if steps > order + 1:
                 raise RuntimeError(
-                    f"geometric inverse did not terminate within {bound + 1} steps"
+                    f"geometric inverse did not terminate within {order + 1} steps"
                 )
         return result * c
 
@@ -170,43 +149,36 @@ class MultiSeries:
             if q <= limit:
                 key = (q + s, x + a, y + b)
                 out[key] = out.get(key, 0) - c * coeff
-        return MultiSeries(self.order, out, xorder=self.xorder)
+        return MultiSeries(self.order, out)
 
     def _over_binomial(self, c: int, s: int, a: int, b: int) -> "MultiSeries":
         """This series divided by (1 - c q^s x^a y^b), by the exact
         recurrence g[k] = f[k] + c g[k - (s, a, b)].
 
-        The terms are walked level by level, a level being the q-exponent
-        (the x-exponent when s = 0), so each g[k] is final before it feeds
-        k + (s, a, b) on a higher level.  A shift that raises neither q nor
-        a truncated x gives no such order, and no inverse, so it is rejected.
+        The terms are walked level by level in q, so each g[k] is final
+        before it feeds k + (s, a, b) on a higher level.  A shift with s < 1
+        gives no such order, and no inverse, so it is rejected.
         """
         if s < 0 or a < 0 or b < 0:
             raise ValueError(f"negative exponent in binomial {(s, a, b)}")
-        order, xorder = self.order, self.xorder
-        if s:
-            axis, step, top = 0, s, order
-        elif a and xorder is not None:
-            axis, step, top = 1, a, xorder
-        else:
+        if s < 1:
             raise ValueError("binomial is not invertible under this truncation")
+        order = self.order
         out = dict(self.terms)
-        levels: list[list[Key]] = [[] for _ in range(top + 1)]
+        levels: list[list[Key]] = [[] for _ in range(order + 1)]
         for key in out:
-            levels[key[axis]].append(key)
-        for level in range(top + 1 - step):
-            above = levels[level + step]
+            levels[key[0]].append(key)
+        for level in range(order + 1 - s):
+            above = levels[level + s]
             for key in levels[level]:
                 q, x, y = key
-                if xorder is not None and x + a > xorder:
-                    continue
                 shifted = (q + s, x + a, y + b)
                 if shifted in out:
                     out[shifted] += c * out[key]
                 else:
                     out[shifted] = c * out[key]
                     above.append(shifted)
-        return MultiSeries(order, out, xorder=xorder)
+        return MultiSeries(order, out)
 
     # -- inspection ----------------------------------------------------------
 
@@ -222,7 +194,7 @@ class MultiSeries:
         for key, coeff in self.terms.items():
             new = fn(*key)
             out[new] = out.get(new, 0) + coeff
-        return MultiSeries(self.order, out, xorder=self.xorder)
+        return MultiSeries(self.order, out)
 
     def first_discrepancy(self, other: "MultiSeries"):
         """Smallest (q, x, y) where coefficients differ, or None if equal."""
@@ -246,21 +218,19 @@ class MultiSeries:
         return f"<MultiSeries order={self.order} terms={len(self.terms)}>"
 
 
-def pochhammer(
-    a: Monomial, step: int, n: int | None, order: int, *, xorder: int | None = None
-) -> MultiSeries:
+def pochhammer(a: Monomial, step: int, n: int | None, order: int) -> MultiSeries:
     """The q-shifted factorial (a; q^step)_n as a truncated series.
 
     ``n is None`` means the infinite product, which stabilises modulo
     q^(order+1) once the shifted monomial's q-exponent exceeds the order.
-    A constant monomial (no q exponent, and no x exponent under an x
-    truncation) makes the infinite product divergent and is rejected.
+    A monomial without a positive q exponent makes the infinite product
+    divergent and is rejected.
     """
     if step < 1:
         raise ValueError("step must be a positive q-power")
-    if n is None and not (a.q >= 1 or (xorder is not None and a.x >= 1)):
+    if n is None and a.q < 1:
         raise ValueError("infinite product diverges for this monomial")
-    result = MultiSeries.one(order, xorder=xorder)
+    result = MultiSeries.one(order)
     k = 0
     # the q-shifts only grow, so the first factor past the order ends the product
     while (n is None or k < n) and (shift := a.q + step * k) <= order:
@@ -288,14 +258,7 @@ def _gauss_coeffs(a: int, b: int) -> dict[int, int]:
     return prev[b]
 
 
-def gauss_binomial(
-    a: int,
-    b: int,
-    step: int = 1,
-    *,
-    order: int,
-    xorder: int | None = None,
-) -> MultiSeries:
+def gauss_binomial(a: int, b: int, step: int = 1, *, order: int) -> MultiSeries:
     """Gaussian binomial [a, b] in the variable q^step, truncated at ``order``.
 
     Counts partitions inside the b-by-(a-b) box; b > a gives the zero series.
@@ -306,16 +269,14 @@ def gauss_binomial(
         (exp * step, 0, 0): coeff
         for exp, coeff in _gauss_coeffs(a, b).items()
     }
-    return MultiSeries(order, terms, xorder=xorder)
+    return MultiSeries(order, terms)
 
 
-def _inverse_factorials(
-    count: int, step: int, order: int, *, xorder: int | None = None
-) -> list[MultiSeries]:
+def _inverse_factorials(count: int, step: int, order: int) -> list[MultiSeries]:
     """[1/(q^step; q^step)_n for n in 0..count] as truncated series, each
     the previous one divided by one more binomial factor; past the order
     the factors are 1, so the list repeats its last entry."""
-    inverses = [MultiSeries.one(order, xorder=xorder)]
+    inverses = [MultiSeries.one(order)]
     for n in range(1, min(count, order // step) + 1):
         inverses.append(inverses[-1]._over_binomial(1, step * n, 0, 0))
     return inverses + [inverses[-1]] * (count + 1 - len(inverses))
@@ -576,19 +537,28 @@ class LaurentPoly:
 
 
 def check_qbinom(a: Monomial, order: int) -> VerificationReport:
-    """Cauchy's q-binomial theorem for a monomial parameter, compared as
-    series truncated in q and in x (x alone does not bound the q-order)."""
-    inverses = _inverse_factorials(order, 1, order, xorder=order)
-    lhs = MultiSeries.zero(order, xorder=order)
-    apoch = MultiSeries.one(order, xorder=order)  # (a; q)_m, one factor more per m
-    for m in range(order + 1):
-        lhs = lhs + MultiSeries.term(1, order, x=m, xorder=order) * apoch * inverses[m]
-        apoch = apoch._times_binomial(a.coeff, a.q + m, a.x, a.y)
-    rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q), 1, None, order, xorder=order)
-    for shift in range(order + 1):
+    """Cauchy's q-binomial theorem at z = xq,
+    sum_m (a; q)_m (xq)^m / (q; q)_m = (axq; q)_inf / (xq; q)_inf,
+    compared truncated in q at 2 * order.  Each x^m rides on q^m, so for a
+    monomial a without x this covers every coefficient q^c x^m with
+    c, m <= order of the theorem in z = x.  The summands follow the
+    recurrence t(m+1) = t(m) xq (1 - a q^m) / (1 - q^(m+1))."""
+    top = 2 * order
+    xq = MultiSeries.term(1, top, q=1, x=1)
+    lhs: dict[Key, int] = {}
+    term = MultiSeries.one(top)
+    m = 0
+    while term.terms:
+        for key, coeff in term.terms.items():
+            lhs[key] = lhs.get(key, 0) + coeff
+        term = (xq * term)._times_binomial(a.coeff, a.q + m, a.x, a.y)
+        term = term._over_binomial(1, m + 1, 0, 0)
+        m += 1
+    rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q + 1), 1, None, top)
+    for shift in range(1, top + 1):
         rhs = rhs._over_binomial(1, shift, 1, 0)
     label = {"a": f"{a.coeff}*q^{a.q}" if (a.x, a.y) == (0, 0) else repr(a), "order": order}
-    return series_report("QBINOM", label, lhs, rhs)
+    return series_report("QBINOM", label, MultiSeries(top, lhs), rhs)
 
 
 def check_xq2_expansion(n: int) -> VerificationReport:

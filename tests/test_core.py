@@ -249,12 +249,12 @@ class TestGenerator:
                     assert walked == list(_reference_partitions(n, **family)), (n, family)
 
     def test_rejects_negative_arguments(self):
-        # the checks run when the generator starts, as for any generator
+        # the checks run at call time, before any iteration
         with pytest.raises(ValueError, match="n must be"):
-            list(partitions(-1))
+            partitions(-1)
         for n in (0, 5):  # once [Partition('0')] and nothing, respectively
             with pytest.raises(ValueError, match="max_part must be"):
-                list(partitions(n, max_part=-1))
+                partitions(n, max_part=-1)
 
     def test_reverse_lex_order(self):
         listing = [p.parts for p in partitions(6)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import partition_lab
+from partition_lab import maps
 from partition_lab.core import Partition, k_measure, parity_index, parse, partitions, sol
 from partition_lab.maps import (
     LabeledPartition,
@@ -52,6 +53,8 @@ class TestLabeledPartition:
     def test_validity_unique_x(self):
         with pytest.raises(ValueError):
             LabeledPartition([(2, True), (2, True)])
+        with pytest.raises(ValueError):  # once 3+Truex of size 4
+            LabeledPartition([(True, True), (3, False)])
 
     def test_validity_blocks_next_value(self):
         with pytest.raises(ValueError):
@@ -224,6 +227,13 @@ class TestSylvester:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("RuntimeError hooks of 5+1 gave 3+3")
+
+    def test_stats_check_reads_hooks_once(self, monkeypatch):
+        calls = []
+        real = maps._hook_lengths
+        monkeypatch.setattr(maps, "_hook_lengths", lambda p: calls.append(p) or real(p))
+        assert sylvester_stats_check(parse("9+7+7+5+1+1")).passed
+        assert len(calls) == 1
 
     def test_stats_check_examples(self):
         assert sylvester_stats_check(parse("9+7+7+5+1+1")).passed
