@@ -124,17 +124,12 @@ class MultiSeries:
         u = MultiSeries.one(order) - self * c
         if any(q < 1 for (q, _x, _y) in u.terms):
             raise ValueError("series is not invertible under this truncation")
+        # every term of u has q >= 1, so u^(order+1) truncates to zero
         result = MultiSeries.one(order)
         power = u
-        steps = 0
         while power.terms:
             result = result + power
             power = power * u
-            steps += 1
-            if steps > order + 1:
-                raise RuntimeError(
-                    f"geometric inverse did not terminate within {order + 1} steps"
-                )
         return result * c
 
     # -- binomial steps ------------------------------------------------------
@@ -228,6 +223,8 @@ def pochhammer(a: Monomial, step: int, n: int | None, order: int) -> MultiSeries
     """
     if step < 1:
         raise ValueError("step must be a positive q-power")
+    if n is not None and n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if n is None and a.q < 1:
         raise ValueError("infinite product diverges for this monomial")
     result = MultiSeries.one(order)
@@ -265,6 +262,8 @@ def gauss_binomial(a: int, b: int, step: int = 1, *, order: int) -> MultiSeries:
     """
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
+    if step < 1:
+        raise ValueError("step must be a positive q-power")
     terms = {
         (exp * step, 0, 0): coeff
         for exp, coeff in _gauss_coeffs(a, b).items()

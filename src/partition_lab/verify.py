@@ -1,8 +1,9 @@
 """Exhaustive partition-family enumeration and one checker per identity.
 
-Every check is exact: families are enumerated by a single generic
-generator plus filters, series are compared coefficientwise, and any
-failure carries the first counterexample found.
+Every check is exact: families are walked by ``core.partitions`` and
+tallied by statistic, the A, B and D cells of the two bivariate
+refinements are counted by one tally each, series are compared
+coefficientwise, and any failure carries the first counterexample found.
 """
 
 from __future__ import annotations
@@ -19,73 +20,20 @@ from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Conjunctive filters selecting partitions of a fixed size."""
+    """The partitions of ``n``, restricted to strict ones, odd parts, or both."""
 
     n: int
     strict: bool = False
     odd_parts: bool = False
-    max_part: int | None = None
-    length: int | None = None
-    sol: int | None = None
-    dur2: int | None = None
-    dur2_sub: int | None = None
-    durfee_type: DurfeeType | None = None
-    alt: int | None = None
-
-    def matches(self, p: Partition) -> bool:
-        if self.strict and not p.is_strict():
-            return False
-        if self.odd_parts and not p.is_odd_parts():
-            return False
-        if self.max_part is not None and (
-            not p or p.parts[0] != self.max_part
-        ):
-            return False
-        if self.length is not None and p.length != self.length:
-            return False
-        if self.sol is not None and (not p.is_strict() or sol(p) != self.sol):
-            return False
-        if self.dur2 is not None and dur2(p) != self.dur2:
-            return False
-        if self.dur2_sub is not None or self.durfee_type is not None:
-            if not p:
-                return False
-            kind, side = dur2_sub(p)
-            if self.dur2_sub is not None and side != self.dur2_sub:
-                return False
-            if self.durfee_type is not None and kind != self.durfee_type:
-                return False
-        if self.alt is not None:
-            if not p.is_odd_parts() or alternating_index(p) != self.alt:
-                return False
-        return True
 
 
 def enumerate_family(spec: FamilySpec):
-    """Qualifying partitions of spec.n, reverse-lexicographic, each once."""
-    family = partitions(spec.n, max_part=spec.max_part, distinct=spec.strict, odd=spec.odd_parts)
-    for p in family:
-        if spec.matches(p):
-            yield p
+    """``core.partitions`` of spec.n under the family's flags:
+    reverse-lexicographic, each partition once."""
+    return partitions(spec.n, distinct=spec.strict, odd=spec.odd_parts)
 
 
-def count_D(n: int, k: int, m: int) -> int:
-    """Strict partitions of n with k parts and m odd-length runs."""
-    return sum(1 for _ in enumerate_family(FamilySpec(n, strict=True, length=k, sol=m)))
-
-
-def count_A(n: int, k: int, m: int, kind: DurfeeType) -> int:
-    """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m."""
-    spec = FamilySpec(n, odd_parts=True, dur2=k, durfee_type=kind, dur2_sub=m)
-    return sum(1 for _ in enumerate_family(spec))
-
-
-def count_B(n: int, k: int, m: int) -> int:
-    """Odd partitions of n with 2-modular Durfee side k, alternating index m."""
-    return sum(1 for _ in enumerate_family(FamilySpec(n, odd_parts=True, dur2=k, alt=m)))
-
-
-# -- enumeration helpers --------------------------------------------------------
+# -- cell tallies -----------------------------------------------------------------
 
 
 def _tally(family, key) -> dict:
@@ -95,6 +43,39 @@ def _tally(family, key) -> dict:
         value = key(p)
         counts[value] = counts.get(value, 0) + 1
     return counts
+
+
+def _strict_cells(n: int) -> dict:
+    """Strict partitions of n by (length, odd-run count): the D cells."""
+    return _tally(partitions(n, distinct=True), lambda p: (p.length, sol(p)))
+
+
+def _durfee_cells(n: int) -> dict:
+    """Nonempty odd partitions of n by (2-modular Durfee side, type,
+    sub-Durfee side): the A cells.  The empty partition has no sub-side."""
+    nonempty = (p for p in partitions(n, odd=True) if p)
+    return _tally(nonempty, lambda p: (dur2(p), *dur2_sub(p)))
+
+
+def _alt_cells(n: int) -> dict:
+    """Odd partitions of n by (2-modular Durfee side, alternating index):
+    the B cells."""
+    return _tally(partitions(n, odd=True), lambda p: (dur2(p), alternating_index(p)))
+
+
+def count_D(n: int, k: int, m: int) -> int:
+    """Strict partitions of n with k parts and m odd-length runs."""
+    return _strict_cells(n).get((k, m), 0)
+
+
+def count_A(n: int, k: int, m: int, kind: DurfeeType) -> int:
+    """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m."""
+    return _durfee_cells(n).get((k, kind, m), 0)
+
+
+def count_B(n: int, k: int, m: int) -> int:
+    """Odd partitions of n with 2-modular Durfee side k, alternating index m."""
+    return _alt_cells(n).get((k, m), 0)
 
 
 def _enumeration_series(order, key, **family) -> MultiSeries:
@@ -110,7 +91,7 @@ def _enumeration_series(order, key, **family) -> MultiSeries:
 # -- checkers -------------------------------------------------------------------
 
 
-def check_prop_2measure(nmax: int = 40) -> VerificationReport:
+def check_prop_2measure(nmax: int) -> VerificationReport:
     """2 * (2-measure) = length + odd-run count on every strict partition."""
     checked = 0
     for n in range(nmax + 1):
@@ -125,21 +106,21 @@ def check_prop_2measure(nmax: int = 40) -> VerificationReport:
     )
 
 
-def check_thm11(order: int = 30) -> VerificationReport:
+def check_thm11(order: int) -> VerificationReport:
     """Double-sum series equals the Pochhammer-sum series coefficientwise."""
     lhs = qseries.build("LHS_THM11", order)
     rhs = qseries.build("RHS_THM11", order)
     return series_report("THM11", {"order": order}, lhs, rhs)
 
 
-def check_eq11(order: int = 25) -> VerificationReport:
+def check_eq11(order: int) -> VerificationReport:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
     expected = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
     return series_report("EQ11", {"order": order}, built, expected)
 
 
-def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
+def check_eq31(order: int, k: int | None = None) -> VerificationReport:
     """k-measure series against enumeration, for k in {1, 2, 3} by default."""
     ks = (k,) if k is not None else (1, 2, 3)
     terms = 0
@@ -157,7 +138,7 @@ def check_eq31(order: int = 22, k: int | None = None) -> VerificationReport:
     )
 
 
-def check_eq_2measure_p(order: int = 20) -> VerificationReport:
+def check_eq_2measure_p(order: int) -> VerificationReport:
     """2-measure series over all partitions against enumeration."""
     built = qseries.build("GF_2MEASURE_P", order)
     expected = _enumeration_series(order, lambda p: (k_measure(p, 2), p.length))
@@ -183,7 +164,7 @@ def _check_cells(name: str, nmax: int, cells) -> VerificationReport:
     return VerificationReport(name, {"nmax": nmax}, True, counts={"cells": checked})
 
 
-def check_thm12(nmax: int = 26) -> VerificationReport:
+def check_thm12(nmax: int) -> VerificationReport:
     """Type I/II Durfee-square counts against strict-partition counts.
 
     For every cell: type I at (k, m) matches strict partitions with 2k parts
@@ -192,8 +173,7 @@ def check_thm12(nmax: int = 26) -> VerificationReport:
     """
 
     def cells(n):
-        strict = _tally(partitions(n, distinct=True), lambda p: (p.length, sol(p)))
-        odd = _tally(partitions(n, odd=True), lambda p: (dur2(p), *dur2_sub(p)))
+        strict, odd = _strict_cells(n), _durfee_cells(n)
         for k in range(1, n + 1):
             for m in range(0, k + 1):
                 yield (
@@ -210,7 +190,7 @@ def check_thm12(nmax: int = 26) -> VerificationReport:
     return _check_cells("THM12", nmax, cells)
 
 
-def check_thm13(nmax: int = 26) -> VerificationReport:
+def check_thm13(nmax: int) -> VerificationReport:
     """Alternating-index counts against strict-partition counts.
 
     A strict partition with k parts and m odd runs forces k and m to share
@@ -220,8 +200,7 @@ def check_thm13(nmax: int = 26) -> VerificationReport:
     """
 
     def cells(n):
-        strict = _tally(partitions(n, distinct=True), lambda p: (p.length, sol(p)))
-        alt_counts = _tally(partitions(n, odd=True), lambda p: (dur2(p), alternating_index(p)))
+        strict, alt_counts = _strict_cells(n), _alt_cells(n)
         for k in range(1, n + 1):
             for m in range(0, k + 1):
                 d = strict.get((k, m), 0)
@@ -233,7 +212,7 @@ def check_thm13(nmax: int = 26) -> VerificationReport:
     return _check_cells("THM13", nmax, cells)
 
 
-def check_corollary(nmax: int = 26) -> VerificationReport:
+def check_corollary(nmax: int) -> VerificationReport:
     """Euler refinement through the 2-modular Durfee side.
 
     Checked in the form the theorems actually sum to: strict partitions with
@@ -274,7 +253,7 @@ def _check_against_sol_len(name, order, built, enumerated, reindex) -> Verificat
     return VerificationReport(name, {"order": order}, True, counts={"terms": terms})
 
 
-def check_gf4(order: int = 25) -> VerificationReport:
+def check_gf4(order: int) -> VerificationReport:
     """Durfee-type series against enumeration and the reindexed sol/length series."""
     built = qseries.build("GF_A_TYPES", order)
     enumerated = _enumeration_series(
@@ -285,7 +264,7 @@ def check_gf4(order: int = 25) -> VerificationReport:
     )
 
 
-def check_gf5(order: int = 25) -> VerificationReport:
+def check_gf5(order: int) -> VerificationReport:
     """Alternating-index series against enumeration and the reindexed series."""
     built = qseries.build("GF_B", order)
     enumerated = _enumeration_series(
@@ -296,7 +275,7 @@ def check_gf5(order: int = 25) -> VerificationReport:
     )
 
 
-def check_sylvester(nmax: int = 26) -> VerificationReport:
+def check_sylvester(nmax: int) -> VerificationReport:
     """Hook bijection: statistics transport plus bijectivity at every size."""
     checked = 0
     for n in range(nmax + 1):
@@ -324,7 +303,7 @@ def check_sylvester(nmax: int = 26) -> VerificationReport:
     )
 
 
-def check_involution(nmax: int = 12) -> VerificationReport:
+def check_involution(nmax: int) -> VerificationReport:
     """Involution on signed pairs: involutive, weight-preserving,
     sign-reversing off fixed points, cases swapping, and the fixed-point
     weights matching strict partitions by 2-measure and length."""
@@ -381,7 +360,7 @@ def check_involution(nmax: int = 12) -> VerificationReport:
     return VerificationReport(name, params, True, counts={"pairs": pair_count})
 
 
-def check_lemma51(mmax: int = 10, order: int = 30) -> VerificationReport:
+def check_lemma51(mmax: int, order: int) -> VerificationReport:
     """Parity-index series over fixed largest part against enumeration,
     plus the odd-gap decomposition round trip."""
     name = "LEMMA51"
@@ -436,7 +415,7 @@ def check_glaisher_counterexample() -> VerificationReport:
     )
 
 
-def check_finite_lemmas(order: int = 15) -> VerificationReport:
+def check_finite_lemmas(order: int) -> VerificationReport:
     """Bundle of the terminating identities: the (x; q^2)_n expansion for
     n <= 8, q-Chu-Vandermonde for 0 <= i, j <= 6, and the q-binomial theorem
     for the monomials q, q^2 and -q."""

@@ -19,13 +19,8 @@ from partition_lab.maps import (
     sylvester,
 )
 from partition_lab.qseries import Monomial, check_qbinom, check_qchu, check_xq2_expansion
-from partition_lab.shapes import DurfeeType, dur2
-from partition_lab.verify import (
-    FamilySpec,
-    enumerate_family,
-    example_sets,
-    verify,
-)
+from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
+from partition_lab.verify import example_sets, verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,27 +51,23 @@ def test_criterion_04_durfee_type_refinement():
     report = verify("THM12", nmax=26)
     ok = report.passed
     sets = example_sets("16-4-2")
-    ok = ok and set(sets["A"]) == set(
-        enumerate_family(
-            FamilySpec(
-                16, odd_parts=True, dur2=2, durfee_type=DurfeeType.TYPE_I, dur2_sub=1
-            )
-        )
-    ) and len(sets["A"]) == 6
+    ok = ok and set(sets["A"]) == {
+        p
+        for p in partitions(16, odd=True)
+        if dur2(p) == 2 and dur2_sub(p) == (DurfeeType.TYPE_I, 1)
+    } and len(sets["A"]) == 6
     sets15 = example_sets("15-3-1")
-    ok = ok and set(sets15["A"]) == set(
-        enumerate_family(
-            FamilySpec(
-                15, odd_parts=True, dur2=2, durfee_type=DurfeeType.TYPE_II, dur2_sub=0
-            )
-        )
-    ) and len(sets15["A"]) == 5
-    ok = ok and set(sets["D"]) == set(
-        enumerate_family(FamilySpec(16, strict=True, length=4, sol=2))
-    )
-    ok = ok and set(sets15["D"]) == set(
-        enumerate_family(FamilySpec(15, strict=True, length=3, sol=1))
-    )
+    ok = ok and set(sets15["A"]) == {
+        p
+        for p in partitions(15, odd=True)
+        if dur2(p) == 2 and dur2_sub(p) == (DurfeeType.TYPE_II, 0)
+    } and len(sets15["A"]) == 5
+    ok = ok and set(sets["D"]) == {
+        p for p in partitions(16, distinct=True) if p.length == 4 and sol(p) == 2
+    }
+    ok = ok and set(sets15["D"]) == {
+        p for p in partitions(15, distinct=True) if p.length == 3 and sol(p) == 1
+    }
     _verdict(4, "type I/II refinement with published cells, n <= 26", ok, report.witness or "")
 
 
@@ -84,13 +75,13 @@ def test_criterion_05_alternating_index_refinement():
     report = verify("THM13", nmax=26)
     ok = report.passed
     sets = example_sets("16-4-2")
-    ok = ok and set(sets["B"]) == set(
-        enumerate_family(FamilySpec(16, odd_parts=True, dur2=2, alt=2))
-    ) and len(sets["B"]) == 6
+    ok = ok and set(sets["B"]) == {
+        p for p in partitions(16, odd=True) if dur2(p) == 2 and alternating_index(p) == 2
+    } and len(sets["B"]) == 6
     sets15 = example_sets("15-3-1")
-    ok = ok and set(sets15["B"]) == set(
-        enumerate_family(FamilySpec(15, odd_parts=True, dur2=2, alt=1))
-    ) and len(sets15["B"]) == 5
+    ok = ok and set(sets15["B"]) == {
+        p for p in partitions(15, odd=True) if dur2(p) == 2 and alternating_index(p) == 1
+    } and len(sets15["B"]) == 5
     _verdict(5, "alternating-index refinement with published cells, n <= 26", ok, report.witness or "")
 
 

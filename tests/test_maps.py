@@ -235,6 +235,11 @@ class TestSylvester:
         assert sylvester_stats_check(parse("9+7+7+5+1+1")).passed
         assert len(calls) == 1
 
+    def test_stats_check_raises_on_size_change(self, monkeypatch):
+        monkeypatch.setattr(maps, "_hook_lengths", lambda p: [4, 0])
+        with pytest.raises(RuntimeError):
+            sylvester_stats_check(parse("1"))
+
     def test_stats_check_examples(self):
         assert sylvester_stats_check(parse("9+7+7+5+1+1")).passed
         assert sylvester_stats_check(parse("1")).passed

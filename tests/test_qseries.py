@@ -231,6 +231,14 @@ class TestGaussBinomial:
                         b, a - b, size
                     ), (a, b, size)
 
+    def test_degenerate_step_and_length_rejected(self):
+        # step 0 would fold every exponent onto q^0, and a negative length
+        # would silently give the empty product
+        with pytest.raises(ValueError):
+            gauss_binomial(4, 2, step=0, order=5)
+        with pytest.raises(ValueError):
+            pochhammer(Monomial(1, q=1), 1, -3, 5)
+
     def test_step_scales_exponents(self):
         plain = gauss_binomial(4, 2, order=ORDER)
         doubled = gauss_binomial(4, 2, step=2, order=2 * ORDER)

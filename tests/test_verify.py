@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from partition_lab.core import parse, sol
+from partition_lab.core import parse, partitions, sol
 from partition_lab.qseries import MultiSeries
 from partition_lab.report import VerificationReport, series_report
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
@@ -31,8 +31,7 @@ class TestEnumerate:
         assert got == [parse("5"), parse("3+1+1"), parse("1+1+1+1+1")]
 
     def test_strict_four_parts_two_odd_runs_of_sixteen(self):
-        spec = FamilySpec(16, strict=True, length=4, sol=2)
-        got = set(enumerate_family(spec))
+        got = {p for p in partitions(16, distinct=True) if p.length == 4 and sol(p) == 2}
         assert got == {
             parse("10+3+2+1"),
             parse("9+4+2+1"),
@@ -42,13 +41,9 @@ class TestEnumerate:
             parse("6+5+4+1"),
         }
 
-    def test_contradictory_filters_empty(self):
-        spec = FamilySpec(5, strict=True, odd_parts=True, length=4)
-        assert list(enumerate_family(spec)) == []
-
-    def test_max_part_means_exactly(self):
-        got = list(enumerate_family(FamilySpec(6, max_part=3)))
-        assert all(p.parts[0] == 3 for p in got)
+    def test_strict_odd_partitions_of_nine(self):
+        got = list(enumerate_family(FamilySpec(9, strict=True, odd_parts=True)))
+        assert got == [parse("9"), parse("5+3+1")]
 
     def test_determinism(self):
         spec = FamilySpec(12, odd_parts=True)
@@ -63,6 +58,18 @@ class TestCounts:
         assert count_A(15, 2, 0, DurfeeType.TYPE_II) == 5
         assert count_B(15, 2, 1) == 5
         assert count_D(15, 3, 1) == 5
+
+    def test_edge_sizes(self):
+        # the empty partition has no sub-Durfee side, so it is in no A cell
+        for kind in DurfeeType:
+            assert count_A(0, 0, 0, kind) == 0
+        assert count_B(0, 0, 0) == count_D(0, 0, 0) == 1
+        with pytest.raises(ValueError):
+            count_A(-1, 0, 0, DurfeeType.TYPE_I)
+        with pytest.raises(ValueError):
+            count_B(-1, 0, 0)
+        with pytest.raises(ValueError):
+            count_D(-1, 0, 0)
 
     def test_parity_constraint_on_strict_counts(self):
         for n in range(1, 15):
@@ -214,41 +221,29 @@ class TestExampleSets:
 
     def test_sets_match_enumeration(self):
         sets = example_sets("16-4-2")
-        assert set(sets["A"]) == set(
-            enumerate_family(
-                FamilySpec(
-                    16,
-                    odd_parts=True,
-                    dur2=2,
-                    durfee_type=DurfeeType.TYPE_I,
-                    dur2_sub=1,
-                )
-            )
-        )
-        assert set(sets["B"]) == set(
-            enumerate_family(FamilySpec(16, odd_parts=True, dur2=2, alt=2))
-        )
-        assert set(sets["D"]) == set(
-            enumerate_family(FamilySpec(16, strict=True, length=4, sol=2))
-        )
+        assert set(sets["A"]) == {
+            p
+            for p in partitions(16, odd=True)
+            if dur2(p) == 2 and dur2_sub(p) == (DurfeeType.TYPE_I, 1)
+        }
+        assert set(sets["B"]) == {
+            p for p in partitions(16, odd=True) if dur2(p) == 2 and alternating_index(p) == 2
+        }
+        assert set(sets["D"]) == {
+            p for p in partitions(16, distinct=True) if p.length == 4 and sol(p) == 2
+        }
         sets = example_sets("15-3-1")
-        assert set(sets["A"]) == set(
-            enumerate_family(
-                FamilySpec(
-                    15,
-                    odd_parts=True,
-                    dur2=2,
-                    durfee_type=DurfeeType.TYPE_II,
-                    dur2_sub=0,
-                )
-            )
-        )
-        assert set(sets["B"]) == set(
-            enumerate_family(FamilySpec(15, odd_parts=True, dur2=2, alt=1))
-        )
-        assert set(sets["D"]) == set(
-            enumerate_family(FamilySpec(15, strict=True, length=3, sol=1))
-        )
+        assert set(sets["A"]) == {
+            p
+            for p in partitions(15, odd=True)
+            if dur2(p) == 2 and dur2_sub(p) == (DurfeeType.TYPE_II, 0)
+        }
+        assert set(sets["B"]) == {
+            p for p in partitions(15, odd=True) if dur2(p) == 2 and alternating_index(p) == 1
+        }
+        assert set(sets["D"]) == {
+            p for p in partitions(15, distinct=True) if p.length == 3 and sol(p) == 1
+        }
 
     def test_membership_statistics(self):
         sets = example_sets("16-4-2")
