@@ -58,13 +58,20 @@ class VerificationReport:
         }
 
 
-def series_report(name: str, params: dict, built, expected) -> VerificationReport:
-    """Compare two truncated series coefficientwise: PASS with the term count,
-    or FAIL at the smallest (q, x, y) where they differ."""
+def series_witness(built, expected) -> str | None:
+    """Where two truncated series first differ, at the smallest (q, x, y),
+    as ``q^c x^a y^b: built A, expected B``; None when they agree."""
     gap = built.first_discrepancy(expected)
     if gap is None:
-        return VerificationReport(name, params, True, counts={"terms": len(built.terms)})
+        return None
     (q, x, y), a, b = gap
-    return VerificationReport(
-        name, params, False, witness=f"q^{q} x^{x} y^{y}: built {a}, expected {b}"
-    )
+    return f"q^{q} x^{x} y^{y}: built {a}, expected {b}"
+
+
+def series_report(name: str, params: dict, built, expected) -> VerificationReport:
+    """Compare two truncated series coefficientwise: PASS with the term count,
+    or FAIL with the ``series_witness`` of the first difference."""
+    witness = series_witness(built, expected)
+    if witness is None:
+        return VerificationReport(name, params, True, counts={"terms": len(built.terms)})
+    return VerificationReport(name, params, False, witness=witness)

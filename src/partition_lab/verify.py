@@ -2,8 +2,10 @@
 
 Every check is exact: families are walked by ``core.partitions`` and
 tallied by statistic, the A, B and D cells of the two bivariate
-refinements are counted by one tally each, series are compared
-coefficientwise, and any failure carries the first counterexample found.
+refinements are counted by one tally each, and series are compared
+coefficientwise.  Each ``check_*`` returns what it counted, or raises
+``Counterexample`` at the first failure; ``verify`` turns either into a
+``VerificationReport`` under the checker's name and bounds.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ from dataclasses import dataclass
 from . import maps, qseries
 from .core import Partition, k_measure, parity_index, partitions, sol
 from .qseries import Monomial, MultiSeries
-from .report import VerificationReport, series_report
+from .report import VerificationReport, series_witness
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
+
+
+class Counterexample(Exception):
+    """The first case a checker found where its identity fails; the
+    exception's text is the report's witness."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,8 @@ def count_D(n: int, k: int, m: int) -> int:
 
 def count_A(n: int, k: int, m: int, kind: DurfeeType) -> int:
     """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m."""
+    if not isinstance(kind, DurfeeType):
+        raise ValueError(f"kind must be a DurfeeType, got {kind!r}")
     return _durfee_cells(n).get((k, kind, m), 0)
 
 
@@ -88,39 +97,45 @@ def _enumeration_series(order, key, **family) -> MultiSeries:
     return MultiSeries(order, terms)
 
 
+def _same(built: MultiSeries, expected: MultiSeries, where: str = "") -> int:
+    """How many terms ``built`` has, once it equals ``expected``
+    coefficientwise; otherwise a Counterexample at their first difference,
+    its witness prefixed by ``where``."""
+    witness = series_witness(built, expected)
+    if witness is not None:
+        raise Counterexample(where + witness)
+    return len(built.terms)
+
+
 # -- checkers -------------------------------------------------------------------
 
 
-def check_prop_2measure(nmax: int) -> VerificationReport:
+def check_prop_2measure(nmax: int) -> dict:
     """2 * (2-measure) = length + odd-run count on every strict partition."""
     checked = 0
     for n in range(nmax + 1):
         for p in partitions(n, distinct=True):
             checked += 1
             if 2 * k_measure(p, 2) != p.length + sol(p):
-                return VerificationReport(
-                    "PROP_2MEASURE", {"nmax": nmax}, False, witness=str(p)
-                )
-    return VerificationReport(
-        "PROP_2MEASURE", {"nmax": nmax}, True, counts={"partitions": checked}
-    )
+                raise Counterexample(str(p))
+    return {"partitions": checked}
 
 
-def check_thm11(order: int) -> VerificationReport:
+def check_thm11(order: int) -> dict:
     """Double-sum series equals the Pochhammer-sum series coefficientwise."""
     lhs = qseries.build("LHS_THM11", order)
     rhs = qseries.build("RHS_THM11", order)
-    return series_report("THM11", {"order": order}, lhs, rhs)
+    return {"terms": _same(lhs, rhs)}
 
 
-def check_eq11(order: int) -> VerificationReport:
+def check_eq11(order: int) -> dict:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
     expected = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
-    return series_report("EQ11", {"order": order}, built, expected)
+    return {"terms": _same(built, expected)}
 
 
-def check_eq31(order: int, k: int | None = None) -> VerificationReport:
+def check_eq31(order: int, k: int | None = None) -> dict:
     """k-measure series against enumeration, for k in {1, 2, 3} by default."""
     ks = (k,) if k is not None else (1, 2, 3)
     terms = 0
@@ -129,24 +144,19 @@ def check_eq31(order: int, k: int | None = None) -> VerificationReport:
         expected = _enumeration_series(
             order, lambda p: (k_measure(p, kk), p.length), distinct=True
         )
-        report = series_report("EQ31", {"order": order, "k": kk}, built, expected)
-        if not report:
-            return report
-        terms += report.counts["terms"]
-    return VerificationReport(
-        "EQ31", {"order": order, "k": ",".join(map(str, ks))}, True, counts={"terms": terms}
-    )
+        terms += _same(built, expected, f"k={kk} ")
+    return {"terms": terms}
 
 
-def check_eq_2measure_p(order: int) -> VerificationReport:
+def check_eq_2measure_p(order: int) -> dict:
     """2-measure series over all partitions against enumeration."""
     built = qseries.build("GF_2MEASURE_P", order)
     expected = _enumeration_series(order, lambda p: (k_measure(p, 2), p.length))
-    return series_report("EQ_2MEASURE_P", {"order": order}, built, expected)
+    return {"terms": _same(built, expected)}
 
 
-def _check_cells(name: str, nmax: int, cells) -> VerificationReport:
-    """Compare count cells for every n in 1..nmax; FAIL at the first mismatch.
+def _check_cells(name: str, nmax: int, cells) -> dict:
+    """Compare count cells for every n in 1..nmax, up to the first mismatch.
 
     ``cells(n)`` tallies the partitions of n it needs and yields one
     (label, left, right) triple per cell, to be equal.
@@ -158,13 +168,11 @@ def _check_cells(name: str, nmax: int, cells) -> VerificationReport:
         for label, left, right in cells(n):
             checked += 1
             if left != right:
-                return VerificationReport(
-                    name, {"nmax": nmax}, False, witness=f"n={n} {label}: {left} != {right}"
-                )
-    return VerificationReport(name, {"nmax": nmax}, True, counts={"cells": checked})
+                raise Counterexample(f"n={n} {label}: {left} != {right}")
+    return {"cells": checked}
 
 
-def check_thm12(nmax: int) -> VerificationReport:
+def check_thm12(nmax: int) -> dict:
     """Type I/II Durfee-square counts against strict-partition counts.
 
     For every cell: type I at (k, m) matches strict partitions with 2k parts
@@ -190,7 +198,7 @@ def check_thm12(nmax: int) -> VerificationReport:
     return _check_cells("THM12", nmax, cells)
 
 
-def check_thm13(nmax: int) -> VerificationReport:
+def check_thm13(nmax: int) -> dict:
     """Alternating-index counts against strict-partition counts.
 
     A strict partition with k parts and m odd runs forces k and m to share
@@ -212,7 +220,7 @@ def check_thm13(nmax: int) -> VerificationReport:
     return _check_cells("THM13", nmax, cells)
 
 
-def check_corollary(nmax: int) -> VerificationReport:
+def check_corollary(nmax: int) -> dict:
     """Euler refinement through the 2-modular Durfee side.
 
     Checked in the form the theorems actually sum to: strict partitions with
@@ -239,43 +247,37 @@ def check_corollary(nmax: int) -> VerificationReport:
     return _check_cells("COROLLARY", nmax, cells)
 
 
-def _check_against_sol_len(name, order, built, enumerated, reindex) -> VerificationReport:
+def _check_against_sol_len(order, built, enumerated, reindex) -> dict:
     """``built`` against enumeration, then against GF_SOL_LEN with its
     exponents sent through ``reindex``."""
-    first = series_report(name, {"order": order, "against": "enumeration"}, built, enumerated)
-    if not first:
-        return first
+    terms = _same(built, enumerated, "against enumeration: ")
     reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(reindex)
-    second = series_report(name, {"order": order, "against": "reindexed"}, built, reindexed)
-    if not second:
-        return second
-    terms = first.counts["terms"] + second.counts["terms"]
-    return VerificationReport(name, {"order": order}, True, counts={"terms": terms})
+    return {"terms": terms + _same(built, reindexed, "against reindexed: ")}
 
 
-def check_gf4(order: int) -> VerificationReport:
+def check_gf4(order: int) -> dict:
     """Durfee-type series against enumeration and the reindexed sol/length series."""
     built = qseries.build("GF_A_TYPES", order)
     enumerated = _enumeration_series(
         order, lambda p: (dur2_sub(p)[1] if p else 0, dur2(p)), odd=True
     )
     return _check_against_sol_len(
-        "GF4", order, built, enumerated, lambda q, x, y: (q, x // 2, (y + 1) // 2)
+        order, built, enumerated, lambda q, x, y: (q, x // 2, (y + 1) // 2)
     )
 
 
-def check_gf5(order: int) -> VerificationReport:
+def check_gf5(order: int) -> dict:
     """Alternating-index series against enumeration and the reindexed series."""
     built = qseries.build("GF_B", order)
     enumerated = _enumeration_series(
         order, lambda p: (alternating_index(p), dur2(p)), odd=True
     )
     return _check_against_sol_len(
-        "GF5", order, built, enumerated, lambda q, x, y: (q, x, (y + 1) // 2)
+        order, built, enumerated, lambda q, x, y: (q, x, (y + 1) // 2)
     )
 
 
-def check_sylvester(nmax: int) -> VerificationReport:
+def check_sylvester(nmax: int) -> dict:
     """Hook bijection: statistics transport plus bijectivity at every size."""
     checked = 0
     for n in range(nmax + 1):
@@ -285,30 +287,19 @@ def check_sylvester(nmax: int) -> VerificationReport:
             total += 1
             report = maps.sylvester_stats_check(p)
             if not report:
-                return VerificationReport(
-                    "SYLVESTER", {"nmax": nmax}, False, witness=report.witness or str(p)
-                )
+                raise Counterexample(report.witness or str(p))
             images.add(maps.sylvester(p))
             checked += 1
         strict_set = set(partitions(n, distinct=True))
         if images != strict_set or len(images) != total:
-            return VerificationReport(
-                "SYLVESTER",
-                {"nmax": nmax},
-                False,
-                witness=f"image of odd partitions of {n} is not all strict partitions",
-            )
-    return VerificationReport(
-        "SYLVESTER", {"nmax": nmax}, True, counts={"partitions": checked}
-    )
+            raise Counterexample(f"image of odd partitions of {n} is not all strict partitions")
+    return {"partitions": checked}
 
 
-def check_involution(nmax: int) -> VerificationReport:
+def check_involution(nmax: int) -> dict:
     """Involution on signed pairs: involutive, weight-preserving,
     sign-reversing off fixed points, cases swapping, and the fixed-point
     weights matching strict partitions by 2-measure and length."""
-    name = "INVOLUTION"
-    params = {"nmax": nmax}
     pair_count = 0
     for n in range(nmax + 1):
         pairs = maps.enumerate_pairs(n)
@@ -319,13 +310,13 @@ def check_involution(nmax: int) -> VerificationReport:
             image = maps.involution_phi(pair)
             back = maps.involution_phi(image)
             if back != pair:
-                return VerificationReport(name, params, False, witness=f"phi^2({pair}) = {back}")
+                raise Counterexample(f"phi^2({pair}) = {back}")
             if image.weight != pair.weight:
-                return VerificationReport(name, params, False, witness=f"weight changed at {pair}")
+                raise Counterexample(f"weight changed at {pair}")
             case, _, _ = maps.classify_pair(pair)
             if image == pair:
                 if case is not maps.PhiCase.FIXED or pair.sign != 1:
-                    return VerificationReport(name, params, False, witness=f"bad fixed point {pair}")
+                    raise Counterexample(f"bad fixed point {pair}")
                 fixed_pairs.append(pair)
             else:
                 icase, _, _ = maps.classify_pair(image)
@@ -333,40 +324,31 @@ def check_involution(nmax: int) -> VerificationReport:
                     maps.PhiCase.CASE2 if case is maps.PhiCase.CASE1 else maps.PhiCase.CASE1
                 )
                 if icase is not expected:
-                    return VerificationReport(
-                        name, params, False, witness=f"case does not swap at {pair}"
-                    )
+                    raise Counterexample(f"case does not swap at {pair}")
                 if image.sign != -pair.sign:
-                    return VerificationReport(name, params, False, witness=f"sign kept at {pair}")
+                    raise Counterexample(f"sign kept at {pair}")
             x, y, _q = pair.weight
             signed[(x, y)] = signed.get((x, y), 0) + pair.sign
         signed = {k: v for k, v in signed.items() if v}
         fixed_weights = _tally(fixed_pairs, lambda pair: pair.weight[:2])
         strict_weights = _tally(partitions(n, distinct=True), lambda t: (k_measure(t, 2), t.length))
         if signed != strict_weights or fixed_weights != strict_weights:
-            return VerificationReport(
-                name, params, False, witness=f"weight sums differ at total size {n}"
-            )
+            raise Counterexample(f"weight sums differ at total size {n}")
         recovered = {maps.strict_to_fixed(t) for t in partitions(n, distinct=True)}
         if recovered != set(fixed_pairs):
-            return VerificationReport(
-                name, params, False, witness=f"fixed points at size {n} are not the strict partitions"
-            )
+            raise Counterexample(f"fixed points at size {n} are not the strict partitions")
         for pair in fixed_pairs:
             if maps.strict_to_fixed(maps.fixed_to_strict(pair)) != pair:
-                return VerificationReport(
-                    name, params, False, witness=f"fixed-point round trip fails at {pair}"
-                )
-    return VerificationReport(name, params, True, counts={"pairs": pair_count})
+                raise Counterexample(f"fixed-point round trip fails at {pair}")
+    return {"pairs": pair_count}
 
 
-def check_lemma51(mmax: int, order: int) -> VerificationReport:
+def check_lemma51(mmax: int, order: int) -> dict:
     """Parity-index series over fixed largest part against enumeration,
-    plus the odd-gap decomposition round trip."""
-    name = "LEMMA51"
+    plus the odd-gap decomposition round trip on every partition of
+    n <= 14, whatever the bounds."""
     if order < mmax:
-        raise ValueError(f"{name} needs order >= mmax, got order {order} < mmax {mmax}")
-    params = {"mmax": mmax, "order": order}
+        raise ValueError(f"LEMMA51 needs order >= mmax, got order {order} < mmax {mmax}")
     compared = 0
     for m in range(1, mmax + 1):
         built = qseries.build("GF_PARITY", order, m=m)
@@ -375,24 +357,18 @@ def check_lemma51(mmax: int, order: int) -> VerificationReport:
             rests = partitions(n - m, max_part=m)  # every part but one largest m
             for index, count in _tally(rests, lambda rest: parity_index(rest.parts[::-1] + (m,))).items():
                 terms[(n, index, 0)] = count
-        expected = MultiSeries(order, terms)
-        report = series_report(name, {"m": m, "order": order}, built, expected)
-        if not report:
-            return report
-        compared += report.counts["terms"]
+        compared += _same(built, MultiSeries(order, terms), f"m={m} ")
     round_trips = 0
     for n in range(15):
         for p in partitions(n):
             sigma, tau = maps.lemma51_decompose(p)
             if maps.lemma51_compose(sigma, tau) != p:
-                return VerificationReport(name, params, False, witness=f"round trip at {p}")
+                raise Counterexample(f"round trip at {p}")
             round_trips += 1
-    return VerificationReport(
-        name, params, True, counts={"terms": compared, "round_trips": round_trips}
-    )
+    return {"terms": compared, "round_trips": round_trips}
 
 
-def check_glaisher_counterexample() -> VerificationReport:
+def check_glaisher_counterexample() -> dict:
     """Glaisher's map fixes 11+3+1 yet lands outside the strict family with
     3 parts and 1 odd run (its odd-run count is 3).
 
@@ -402,25 +378,15 @@ def check_glaisher_counterexample() -> VerificationReport:
     """
     source = Partition((11, 3, 1))
     image = maps.glaisher(source)
-    ok = (
-        image == source
-        and image.is_strict()
-        and image.length == 3
-        and sol(image) == 3
-        and sol(image) != 1
-    )
-    witness = None if ok else f"glaisher(11+3+1) = {image}, sol = {sol(image)}"
-    return VerificationReport(
-        "GLAISHER_COUNTEREX", {}, ok, witness=witness, counts={"partitions": 1}
-    )
+    if not (image == source and image.is_strict() and image.length == 3 and sol(image) == 3):
+        raise Counterexample(f"glaisher(11+3+1) = {image}, sol = {sol(image)}")
+    return {"partitions": 1}
 
 
-def check_finite_lemmas(order: int) -> VerificationReport:
+def check_finite_lemmas(order: int) -> dict:
     """Bundle of the terminating identities: the (x; q^2)_n expansion for
     n <= 8, q-Chu-Vandermonde for 0 <= i, j <= 6, and the q-binomial theorem
     for the monomials q, q^2 and -q."""
-    name = "FINITE_LEMMAS"
-    params = {"order": order}
     reports = [qseries.check_xq2_expansion(n) for n in range(9)]
     reports += [qseries.check_qchu(i, j) for i in range(7) for j in range(7)]
     reports += [
@@ -430,10 +396,10 @@ def check_finite_lemmas(order: int) -> VerificationReport:
     counts = {"terms": 0}
     for report in reports:
         if not report:
-            return VerificationReport(name, params, False, witness=report.line())
+            raise Counterexample(report.line())
         counts["terms"] += report.counts.get("terms", 0)
         counts[report.name] = counts.get(report.name, 0) + 1
-    return VerificationReport(name, params, True, counts=counts)
+    return counts
 
 
 # -- example sets ----------------------------------------------------------------
@@ -552,8 +518,12 @@ _LEAST_BOUND = {"nmax": 0, "order": 0, "mmax": 1}
 
 
 def verify(name: str, **bounds) -> VerificationReport:
-    """Run one named checker, using desk-profile bounds for anything unset;
-    the report's ``elapsed_s`` is the checker's wall time."""
+    """Run one named checker, using desk-profile bounds for anything unset.
+
+    The report carries the checker's name and bounds, and its counts, or
+    the witness of the ``Counterexample`` it raised; ``elapsed_s`` is the
+    checker's wall time.  Any other exception propagates.
+    """
     try:
         func, accepted = CHECKERS[name]
     except KeyError:
@@ -570,7 +540,10 @@ def verify(name: str, **bounds) -> VerificationReport:
         if least is not None and value < least:
             raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")
     start = time.perf_counter()
-    report = func(**kwargs)
+    try:
+        report = VerificationReport(name, kwargs, True, counts=func(**kwargs))
+    except Counterexample as exc:
+        report = VerificationReport(name, kwargs, False, witness=str(exc))
     report.elapsed_s = time.perf_counter() - start
     return report
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from partition_lab import cli
-from partition_lab.report import VerificationReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,7 +86,7 @@ class TestVerify:
         from partition_lab import verify as verify_module
 
         def broken():
-            return VerificationReport("BROKEN", {}, False, witness="q^1: 2 != 3")
+            raise verify_module.Counterexample("q^1: 2 != 3")
 
         monkeypatch.setitem(verify_module.CHECKERS, "GLAISHER_COUNTEREX", (broken, ()))
         monkeypatch.setitem(verify_module.DESK_PROFILE, "GLAISHER_COUNTEREX", {})

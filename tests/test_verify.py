@@ -71,6 +71,11 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_D(-1, 0, 0)
 
+    def test_count_A_rejects_a_kind_that_is_not_a_durfee_type(self):
+        # a type name given as text must not read as an empty cell
+        with pytest.raises(ValueError):
+            count_A(16, 2, 1, "TYPE_I")
+
     def test_parity_constraint_on_strict_counts(self):
         for n in range(1, 15):
             for k in range(1, n + 1):
@@ -115,6 +120,11 @@ class TestCheckers:
         with pytest.raises(ValueError):
             verify("THM11", nmax=5)
 
+    def test_report_params_are_the_bounds_run_at(self):
+        assert verify("EQ31").params == {"order": 22}
+        assert verify("EQ31", order=5, k=2).params == {"order": 5, "k": 2}
+        assert verify("LEMMA51", mmax=2).params == {"mmax": 2, "order": 30}
+
     def test_trivial_order_zero(self):
         assert verify("THM11", order=0).passed
 
@@ -124,6 +134,48 @@ class TestCheckers:
         assert report.to_dict()["elapsed_s"] == report.elapsed_s
         # the time is not part of a report's identity
         assert report == dataclasses.replace(report, elapsed_s=None)
+
+    @pytest.mark.parametrize(
+        "stat,name,bounds,line,witness",
+        [
+            ("k_measure", "PROP_2MEASURE", {"nmax": 5}, "PROP_2MEASURE n<=5 FAIL", "1"),
+            (
+                "k_measure",
+                "EQ31",
+                {"order": 5},
+                "EQ31 order<=5 FAIL",
+                "k=1 q^1 x^0 y^1: built 0, expected 1",
+            ),
+            ("sol", "THM12", {"nmax": 3}, "THM12 n<=3 FAIL", "n=1 type II k=1 m=0: 1 != 0"),
+            (
+                "dur2",
+                "GF4",
+                {"order": 5},
+                "GF4 order<=5 FAIL",
+                "against enumeration: q^1 x^0 y^0: built 0, expected 1",
+            ),
+            (
+                "parity_index",
+                "LEMMA51",
+                {"mmax": 3, "order": 5},
+                "LEMMA51 m<=3 order<=5 FAIL",
+                "m=1 q^1 x^0 y^0: built 0, expected 1",
+            ),
+        ],
+    )
+    def test_broken_statistic_fails_with_bounds_and_witness(
+        self, monkeypatch, stat, name, bounds, line, witness
+    ):
+        # the line names only the requested bounds; a sub-loop index or the
+        # series compared against goes into the witness prefix
+        from partition_lab import verify as verify_module
+
+        monkeypatch.setattr(verify_module, stat, lambda *args: 0)
+        report = verify(name, **bounds)
+        assert report.line() == line
+        assert report.witness == witness
+        assert report.params == bounds and report.counts == {}
+        assert isinstance(report.elapsed_s, float)
 
     def test_verify_all_runs_every_checker(self, monkeypatch):
         # shrink the bounds so the full sweep stays fast
