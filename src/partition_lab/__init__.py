@@ -42,7 +42,7 @@ from .qseries import (
     gauss_binomial,
     pochhammer,
 )
-from .report import VerificationReport
+from .report import Counterexample, VerificationReport
 from .shapes import (
     Border,
     DurfeeType,

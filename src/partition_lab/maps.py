@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Partition, parity_index, partitions, runs, sol, union
-from .report import VerificationReport
+from .report import Counterexample
 from .shapes import Border, alternating_index, dur2, modular2_diagram
 
 
@@ -341,19 +341,18 @@ def sylvester(p: Partition) -> Partition:
     return _hook_image(p, _hook_lengths(p))
 
 
-def sylvester_stats_check(p: Partition) -> VerificationReport:
+def sylvester_stats_check(p: Partition) -> dict:
     """Check the statistics Sylvester's map transports on one odd partition.
 
     Durfee side against half the image length, the alternating index
     against the image's odd-run count, and the three hook-length relations
-    tying consecutive readings to part multiplicities and gaps.  An image
-    that is not a strict partition of the same size raises ``RuntimeError``
-    when it is built.
+    tying consecutive readings to part multiplicities and gaps.  Returns
+    an empty count, or raises ``Counterexample`` naming ``p`` and every
+    relation that fails.  An image that is not a strict partition of the
+    same size raises ``RuntimeError`` when it is built.
     """
-    name = "SYLVESTER_STATS"
-    params = {"partition": str(p)}
     if not p:
-        return VerificationReport(name, params, True)
+        return {}
     ell = _hook_lengths(p)
     image = _hook_image(p, ell)
     k = dur2(p)
@@ -377,8 +376,8 @@ def sylvester_stats_check(p: Partition) -> VerificationReport:
         if ell[2 * i - 1] - ell[2 * i] - 1 != gap // 2:
             problems.append(f"l{2 * i}-l{2 * i + 1}-1 != half gap at row {i}")
     if problems:
-        return VerificationReport(name, params, False, witness="; ".join(problems))
-    return VerificationReport(name, params, True)
+        raise Counterexample(f"{p}: " + "; ".join(problems))
+    return {}
 
 
 def glaisher(p: Partition) -> Partition:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .report import VerificationReport, series_report
+from .report import Counterexample, compare_series
 
 Key = tuple[int, int, int]  # (q-exponent, x-exponent, y-exponent)
 
@@ -535,13 +535,14 @@ class LaurentPoly:
 # -- finite identity checks ----------------------------------------------------
 
 
-def check_qbinom(a: Monomial, order: int) -> VerificationReport:
+def check_qbinom(a: Monomial, order: int) -> dict:
     """Cauchy's q-binomial theorem at z = xq,
     sum_m (a; q)_m (xq)^m / (q; q)_m = (axq; q)_inf / (xq; q)_inf,
     compared truncated in q at 2 * order.  Each x^m rides on q^m, so for a
     monomial a without x this covers every coefficient q^c x^m with
     c, m <= order of the theorem in z = x.  The summands follow the
-    recurrence t(m+1) = t(m) xq (1 - a q^m) / (1 - q^(m+1))."""
+    recurrence t(m+1) = t(m) xq (1 - a q^m) / (1 - q^(m+1)).  Returns the
+    term count, or raises ``Counterexample`` at the first difference."""
     top = 2 * order
     xq = MultiSeries.term(1, top, q=1, x=1)
     lhs: dict[Key, int] = {}
@@ -556,12 +557,12 @@ def check_qbinom(a: Monomial, order: int) -> VerificationReport:
     rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q + 1), 1, None, top)
     for shift in range(1, top + 1):
         rhs = rhs._over_binomial(1, shift, 1, 0)
-    label = {"a": f"{a.coeff}*q^{a.q}" if (a.x, a.y) == (0, 0) else repr(a), "order": order}
-    return series_report("QBINOM", label, MultiSeries(top, lhs), rhs)
+    return {"terms": compare_series(MultiSeries(top, lhs), rhs)}
 
 
-def check_xq2_expansion(n: int) -> VerificationReport:
-    """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials."""
+def check_xq2_expansion(n: int) -> dict:
+    """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials;
+    raises ``Counterexample`` when the sides differ."""
     lhs = LaurentPoly.poch(1, 0, 2, n, x=1)
     rhs = LaurentPoly.zero()
     for i in range(n + 1):
@@ -571,19 +572,18 @@ def check_xq2_expansion(n: int) -> VerificationReport:
             {(2 * exp, 0): coeff for exp, coeff in _gauss_coeffs(n, i).items()}
         )
         rhs = rhs + head * binom
-    if lhs == rhs:
-        return VerificationReport("XQ2_EXPANSION", {"n": n}, True)
-    return VerificationReport(
-        "XQ2_EXPANSION", {"n": n}, False, witness="sides differ as polynomials"
-    )
+    if lhs != rhs:
+        raise Counterexample("sides differ as polynomials")
+    return {}
 
 
-def check_qchu(i: int, j: int) -> VerificationReport:
+def check_qchu(i: int, j: int) -> dict:
     """Terminating q-Chu-Vandermonde instance in Laurent-polynomial arithmetic.
 
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
     (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].
+    Returns whether both sides vanish, or raises ``Counterexample``.
     """
     lhs = LaurentPoly.zero()
     for n in range(j + 1):
@@ -600,11 +600,6 @@ def check_qchu(i: int, j: int) -> VerificationReport:
         * LaurentPoly.poch(1, -i, 1, j)
         * LaurentPoly.poch(1, 1, 1, j)
     )
-    if lhs == rhs:
-        vanished = lhs.is_zero()
-        return VerificationReport(
-            "QCHU", {"i": i, "j": j}, True, counts={"vanishes": int(vanished)}
-        )
-    return VerificationReport(
-        "QCHU", {"i": i, "j": j}, False, witness="sides differ as Laurent polynomials"
-    )
+    if lhs != rhs:
+        raise Counterexample("sides differ as Laurent polynomials")
+    return {"vanishes": int(lhs.is_zero())}

@@ -1,4 +1,6 @@
-"""Structured pass/fail results shared by every checker in the package."""
+"""Structured pass/fail results: the report ``verify.verify`` builds, the
+``Counterexample`` a failed check raises, and the series comparison that
+raises it."""
 
 from __future__ import annotations
 
@@ -7,16 +9,25 @@ from dataclasses import dataclass, field
 _BOUND_LABELS = {"nmax": "n", "order": "order", "mmax": "m"}
 
 
+class Counterexample(Exception):
+    """The first case a check found where its identity fails; the
+    exception's text is the report's witness."""
+
+
 @dataclass
 class VerificationReport:
     """Outcome of one exact check, carrying a reproducible witness on failure."""
 
     name: str
     params: dict[str, object] = field(default_factory=dict)
-    passed: bool = True
     witness: str | None = None
     counts: dict[str, int] = field(default_factory=dict)
     elapsed_s: float | None = field(default=None, compare=False)  # set by verify.verify
+
+    @property
+    def passed(self) -> bool:
+        """A report passes exactly when it carries no witness."""
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -58,20 +69,12 @@ class VerificationReport:
         }
 
 
-def series_witness(built, expected) -> str | None:
-    """Where two truncated series first differ, at the smallest (q, x, y),
-    as ``q^c x^a y^b: built A, expected B``; None when they agree."""
+def compare_series(built, expected, where: str = "") -> int:
+    """How many terms ``built`` has, once it equals ``expected``
+    coefficientwise; otherwise a Counterexample at their first difference,
+    the smallest (q, x, y), as ``where`` + ``q^c x^a y^b: built A, expected B``."""
     gap = built.first_discrepancy(expected)
-    if gap is None:
-        return None
-    (q, x, y), a, b = gap
-    return f"q^{q} x^{x} y^{y}: built {a}, expected {b}"
-
-
-def series_report(name: str, params: dict, built, expected) -> VerificationReport:
-    """Compare two truncated series coefficientwise: PASS with the term count,
-    or FAIL with the ``series_witness`` of the first difference."""
-    witness = series_witness(built, expected)
-    if witness is None:
-        return VerificationReport(name, params, True, counts={"terms": len(built.terms)})
-    return VerificationReport(name, params, False, witness=witness)
+    if gap is not None:
+        (q, x, y), a, b = gap
+        raise Counterexample(f"{where}q^{q} x^{x} y^{y}: built {a}, expected {b}")
+    return len(built.terms)

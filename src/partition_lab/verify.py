@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from . import maps, qseries
 from .core import Partition, k_measure, parity_index, partitions, sol
 from .qseries import Monomial, MultiSeries
-from .report import VerificationReport, series_witness
+from .report import Counterexample, VerificationReport, compare_series
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
-
-
-class Counterexample(Exception):
-    """The first case a checker found where its identity fails; the
-    exception's text is the report's witness."""
 
 
 @dataclass(frozen=True)
@@ -97,16 +92,6 @@ def _enumeration_series(order, key, **family) -> MultiSeries:
     return MultiSeries(order, terms)
 
 
-def _same(built: MultiSeries, expected: MultiSeries, where: str = "") -> int:
-    """How many terms ``built`` has, once it equals ``expected``
-    coefficientwise; otherwise a Counterexample at their first difference,
-    its witness prefixed by ``where``."""
-    witness = series_witness(built, expected)
-    if witness is not None:
-        raise Counterexample(where + witness)
-    return len(built.terms)
-
-
 # -- checkers -------------------------------------------------------------------
 
 
@@ -125,14 +110,14 @@ def check_thm11(order: int) -> dict:
     """Double-sum series equals the Pochhammer-sum series coefficientwise."""
     lhs = qseries.build("LHS_THM11", order)
     rhs = qseries.build("RHS_THM11", order)
-    return {"terms": _same(lhs, rhs)}
+    return {"terms": compare_series(lhs, rhs)}
 
 
 def check_eq11(order: int) -> dict:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
     expected = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
-    return {"terms": _same(built, expected)}
+    return {"terms": compare_series(built, expected)}
 
 
 def check_eq31(order: int, k: int | None = None) -> dict:
@@ -144,7 +129,7 @@ def check_eq31(order: int, k: int | None = None) -> dict:
         expected = _enumeration_series(
             order, lambda p: (k_measure(p, kk), p.length), distinct=True
         )
-        terms += _same(built, expected, f"k={kk} ")
+        terms += compare_series(built, expected, f"k={kk} ")
     return {"terms": terms}
 
 
@@ -152,7 +137,7 @@ def check_eq_2measure_p(order: int) -> dict:
     """2-measure series over all partitions against enumeration."""
     built = qseries.build("GF_2MEASURE_P", order)
     expected = _enumeration_series(order, lambda p: (k_measure(p, 2), p.length))
-    return {"terms": _same(built, expected)}
+    return {"terms": compare_series(built, expected)}
 
 
 def _check_cells(name: str, nmax: int, cells) -> dict:
@@ -250,9 +235,9 @@ def check_corollary(nmax: int) -> dict:
 def _check_against_sol_len(order, built, enumerated, reindex) -> dict:
     """``built`` against enumeration, then against GF_SOL_LEN with its
     exponents sent through ``reindex``."""
-    terms = _same(built, enumerated, "against enumeration: ")
+    terms = compare_series(built, enumerated, "against enumeration: ")
     reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(reindex)
-    return {"terms": terms + _same(built, reindexed, "against reindexed: ")}
+    return {"terms": terms + compare_series(built, reindexed, "against reindexed: ")}
 
 
 def check_gf4(order: int) -> dict:
@@ -285,9 +270,7 @@ def check_sylvester(nmax: int) -> dict:
         total = 0
         for p in partitions(n, odd=True):
             total += 1
-            report = maps.sylvester_stats_check(p)
-            if not report:
-                raise Counterexample(report.witness or str(p))
+            maps.sylvester_stats_check(p)
             images.add(maps.sylvester(p))
             checked += 1
         strict_set = set(partitions(n, distinct=True))
@@ -357,7 +340,7 @@ def check_lemma51(mmax: int, order: int) -> dict:
             rests = partitions(n - m, max_part=m)  # every part but one largest m
             for index, count in _tally(rests, lambda rest: parity_index(rest.parts[::-1] + (m,))).items():
                 terms[(n, index, 0)] = count
-        compared += _same(built, MultiSeries(order, terms), f"m={m} ")
+        compared += compare_series(built, MultiSeries(order, terms), f"m={m} ")
     round_trips = 0
     for n in range(15):
         for p in partitions(n):
@@ -386,19 +369,24 @@ def check_glaisher_counterexample() -> dict:
 def check_finite_lemmas(order: int) -> dict:
     """Bundle of the terminating identities: the (x; q^2)_n expansion for
     n <= 8, q-Chu-Vandermonde for 0 <= i, j <= 6, and the q-binomial theorem
-    for the monomials q, q^2 and -q."""
-    reports = [qseries.check_xq2_expansion(n) for n in range(9)]
-    reports += [qseries.check_qchu(i, j) for i in range(7) for j in range(7)]
-    reports += [
-        qseries.check_qbinom(a, order)
-        for a in (Monomial(1, q=1), Monomial(1, q=2), Monomial(-1, q=1))
+    for the monomials q, q^2 and -q.  A failing instance's witness is
+    prefixed by its name and arguments, e.g. ``QCHU i=2 j=3 ``."""
+    cases = [("XQ2_EXPANSION", f"n={n}", qseries.check_xq2_expansion, (n,)) for n in range(9)]
+    cases += [
+        ("QCHU", f"i={i} j={j}", qseries.check_qchu, (i, j)) for i in range(7) for j in range(7)
+    ]
+    cases += [
+        ("QBINOM", f"a={c}*q^{s}", qseries.check_qbinom, (Monomial(c, q=s), order))
+        for c, s in ((1, 1), (1, 2), (-1, 1))
     ]
     counts = {"terms": 0}
-    for report in reports:
-        if not report:
-            raise Counterexample(report.line())
-        counts["terms"] += report.counts.get("terms", 0)
-        counts[report.name] = counts.get(report.name, 0) + 1
+    for name, label, check, args in cases:
+        try:
+            got = check(*args)
+        except Counterexample as exc:
+            raise Counterexample(f"{name} {label} {exc}") from exc
+        counts["terms"] += got.get("terms", 0)
+        counts[name] = counts.get(name, 0) + 1
     return counts
 
 
@@ -541,11 +529,10 @@ def verify(name: str, **bounds) -> VerificationReport:
             raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")
     start = time.perf_counter()
     try:
-        report = VerificationReport(name, kwargs, True, counts=func(**kwargs))
+        counts, witness = func(**kwargs), None
     except Counterexample as exc:
-        report = VerificationReport(name, kwargs, False, witness=str(exc))
-    report.elapsed_s = time.perf_counter() - start
-    return report
+        counts, witness = {}, str(exc)
+    return VerificationReport(name, kwargs, witness, counts, time.perf_counter() - start)
 
 
 def verify_all(profile: str = "desk"):

@@ -19,6 +19,7 @@ from partition_lab.maps import (
     sylvester,
 )
 from partition_lab.qseries import Monomial, check_qbinom, check_qchu, check_xq2_expansion
+from partition_lab.report import Counterexample
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
 from partition_lab.verify import example_sets, verify
 
@@ -174,18 +175,21 @@ def test_criterion_11_parity_series_and_decomposition():
 
 
 def test_criterion_12_finite_lemmas():
-    ok = True
-    for n in range(9):
-        ok = ok and check_xq2_expansion(n).passed
-    for i in range(7):
-        for j in range(7):
-            report = check_qchu(i, j)
-            ok = ok and report.passed
-            if j > i:
-                ok = ok and report.counts.get("vanishes") == 1
-    for a in (Monomial(1, q=1), Monomial(1, q=2), Monomial(-1, q=1)):
-        ok = ok and check_qbinom(a, 15).passed
-    _verdict(12, "terminating lemmas: expansion n <= 8, Chu-Vandermonde i,j <= 6, binomial theorem order 15", ok)
+    # each check returns its counts or raises Counterexample at a difference
+    ok, detail = True, ""
+    try:
+        for n in range(9):
+            check_xq2_expansion(n)
+        for i in range(7):
+            for j in range(7):
+                counts = check_qchu(i, j)
+                if j > i:
+                    ok = ok and counts.get("vanishes") == 1
+        for a in (Monomial(1, q=1), Monomial(1, q=2), Monomial(-1, q=1)):
+            check_qbinom(a, 15)
+    except Counterexample as exc:
+        ok, detail = False, str(exc)
+    _verdict(12, "terminating lemmas: expansion n <= 8, Chu-Vandermonde i,j <= 6, binomial theorem order 15", ok, detail)
 
 
 def test_criterion_13_glaisher_counterexample():

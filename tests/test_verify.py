@@ -1,12 +1,16 @@
 """Family enumeration, counting functions, checkers, and example sets."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import partition_lab
+from partition_lab import maps, qseries
 from partition_lab.core import parse, partitions, sol
-from partition_lab.qseries import MultiSeries
-from partition_lab.report import VerificationReport, series_report
+from partition_lab.qseries import LaurentPoly, MultiSeries
+from partition_lab.report import Counterexample, VerificationReport, compare_series
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
 from partition_lab.verify import (
     CHECKERS,
@@ -161,6 +165,42 @@ class TestCheckers:
                 "LEMMA51 m<=3 order<=5 FAIL",
                 "m=1 q^1 x^0 y^0: built 0, expected 1",
             ),
+            ("sol", "EQ11", {"order": 5}, "EQ11 order<=5 FAIL", "q^1 x^0 y^1: built 0, expected 1"),
+            (
+                "k_measure",
+                "EQ_2MEASURE_P",
+                {"order": 5},
+                "EQ_2MEASURE_P order<=5 FAIL",
+                "q^1 x^0 y^1: built 0, expected 1",
+            ),
+            (
+                "k_measure",
+                "INVOLUTION",
+                {"nmax": 3},
+                "INVOLUTION n<=3 FAIL",
+                "weight sums differ at total size 1",
+            ),
+            (
+                "alternating_index",
+                "THM13",
+                {"nmax": 3},
+                "THM13 n<=3 FAIL",
+                "n=1 k=1 m=1 B vs D: 0 != 1",
+            ),
+            (
+                "alternating_index",
+                "GF5",
+                {"order": 5},
+                "GF5 order<=5 FAIL",
+                "against enumeration: q^1 x^0 y^1: built 0, expected 1",
+            ),
+            (
+                "dur2",
+                "COROLLARY",
+                {"nmax": 3},
+                "COROLLARY n<=3 FAIL",
+                "n=1 j=1 type II vs 2j-1 parts: 0 != 1",
+            ),
         ],
     )
     def test_broken_statistic_fails_with_bounds_and_witness(
@@ -176,6 +216,84 @@ class TestCheckers:
         assert report.witness == witness
         assert report.params == bounds and report.counts == {}
         assert isinstance(report.elapsed_s, float)
+
+    @pytest.mark.parametrize(
+        "owner,attr,fault,name,bounds,line,witness",
+        [
+            (
+                qseries,
+                "build_k_measure_gf",
+                lambda real: lambda k, order: real(k + 1, order),
+                "THM11",
+                {"order": 5},
+                "THM11 order<=5 FAIL",
+                "q^4 x^1 y^2: built 0, expected 1",
+            ),
+            (
+                # GF_SOL_LEN weighted by the 2-measure: GF_B still matches
+                # enumeration, so only the reindexed comparison can fail
+                qseries,
+                "build_run_double_sum_gf",
+                lambda real: lambda order, x_weight: real(order, lambda i, j: i + j),
+                "GF5",
+                {"order": 5},
+                "GF5 order<=5 FAIL",
+                "against reindexed: q^3 x^0 y^1: built 1, expected 0",
+            ),
+            (
+                maps,
+                "alternating_index",
+                lambda real: lambda p: real(p) + (p.size == 7),
+                "SYLVESTER",
+                {"nmax": 8},
+                "SYLVESTER n<=8 FAIL",
+                "7: alt 1 != sol(image) 0",
+            ),
+            (
+                maps,
+                "glaisher",
+                lambda real: maps.sylvester,
+                "GLAISHER_COUNTEREX",
+                {},
+                "GLAISHER_COUNTEREX FAIL",
+                "glaisher(11+3+1) = 8+6+1, sol = 3",
+            ),
+            (
+                # a product that drops the sign of its coefficient leaves
+                # (x; q^2)_n alone and breaks the (-q^(i+1); q)_n factors
+                LaurentPoly,
+                "poch",
+                lambda real: classmethod(
+                    lambda cls, coeff, *rest, **kw: real(abs(coeff), *rest, **kw)
+                ),
+                "FINITE_LEMMAS",
+                {"order": 5},
+                "FINITE_LEMMAS order<=5 FAIL",
+                "QCHU i=0 j=1 sides differ as Laurent polynomials",
+            ),
+            (
+                qseries,
+                "pochhammer",
+                lambda real: lambda a, step, n, order: (
+                    real(a, step, n, order) + MultiSeries.term(1, order, q=12, x=6)
+                ),
+                "FINITE_LEMMAS",
+                {"order": 6},
+                "FINITE_LEMMAS order<=6 FAIL",
+                "QBINOM a=1*q^1 q^12 x^6 y^0: built 0, expected 1",
+            ),
+        ],
+    )
+    def test_broken_layer_fails_with_bounds_and_witness(
+        self, monkeypatch, owner, attr, fault, name, bounds, line, witness
+    ):
+        # a fault below verify's namespace: a builder, a map or the
+        # arithmetic of a finite lemma; the witness names the failing case
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        report = verify(name, **bounds)
+        assert report.line() == line
+        assert report.witness == witness
+        assert report.params == bounds and report.counts == {}
 
     def test_verify_all_runs_every_checker(self, monkeypatch):
         # shrink the bounds so the full sweep stays fast
@@ -231,25 +349,51 @@ class TestCheckers:
 
 class TestReports:
     def test_line_format(self):
-        report = VerificationReport("THM12", {"nmax": 26}, True)
+        report = VerificationReport("THM12", {"nmax": 26})
         assert report.line() == "THM12 n<=26 PASS"
 
     def test_fail_carries_witness(self):
-        report = VerificationReport("X", {"order": 3}, False, witness="q^1: 0 != 1")
+        report = VerificationReport("X", {"order": 3}, witness="q^1: 0 != 1")
         assert report.line() == "X order<=3 FAIL"
         assert "counterexample: q^1: 0 != 1" in report.text()
-        assert not report
+        assert not report and not report.passed
+        # the verdict is the witness, so a report cannot pass while carrying one
+        with pytest.raises(AttributeError):
+            report.passed = True
 
-    def test_series_report_names_first_difference(self):
+    def test_compare_series_names_first_difference(self):
         built = MultiSeries(4, {(1, 0, 1): 1, (3, 2, 1): 5, (4, 1, 1): 2})
         expected = MultiSeries(4, {(1, 0, 1): 1, (3, 2, 1): 7, (4, 1, 1): 2})
-        report = series_report("S", {"order": 4}, built, expected)
-        assert report.line() == "S order<=4 FAIL"
-        assert report.witness == "q^3 x^2 y^1: built 5, expected 7"
-        assert series_report("S", {"order": 4}, built, built).counts == {"terms": 3}
+        with pytest.raises(Counterexample) as caught:
+            compare_series(built, expected)
+        assert str(caught.value) == "q^3 x^2 y^1: built 5, expected 7"
+        with pytest.raises(Counterexample, match=r"^k=2 q\^3 x\^2 y\^1: built 5"):
+            compare_series(built, expected, "k=2 ")
+        assert compare_series(built, built) == 3
+
+    def test_package_exports_the_verify_counterexample(self):
+        from partition_lab import verify as verify_module
+
+        assert partition_lab.Counterexample is verify_module.Counterexample is Counterexample
+
+    def test_verify_alone_builds_reports(self):
+        # every VerificationReport comes from verify.verify, so the name and
+        # bounds on a report are always the ones a checker ran at
+        builders = []
+        for path in sorted(Path(partition_lab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                if ast.unparse(call.func).endswith("VerificationReport"):
+                    inside = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+                    owner = max(inside, key=lambda f: f.lineno) if inside else None
+                    builders.append((path.name, owner and owner.name))
+        assert builders == [("verify.py", "verify")]
 
     def test_to_dict_round_trip_fields(self):
-        report = VerificationReport("Y", {"nmax": 5}, True, counts={"cells": 7})
+        report = VerificationReport("Y", {"nmax": 5}, counts={"cells": 7})
         data = report.to_dict()
         assert data["status"] == "PASS" and data["counts"] == {"cells": 7}
         assert "elapsed_s" in data and data["elapsed_s"] is None  # only verify() times
