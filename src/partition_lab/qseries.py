@@ -6,13 +6,16 @@ truncation; x and y exponents are never cut.  Every q-product is built
 one binomial factor (1 - c q^s x^a y^b) at a time by two O(terms) steps:
 multiplying by it is one shifted add, and dividing by it (s >= 1) walks the
 exact recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q, so no
-inverse series is ever formed.  LaurentPoly quarantines
+inverse series is ever formed.  Every named series is one of two sums: a
+double sum in nested Horner form over binomial steps, or one recurrence
+loop, which QBINOM runs as the Pochhammer builders do.  LaurentPoly quarantines
 the negative q-powers required by the terminating hypergeometric checks;
 MultiSeries never holds a negative exponent.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .report import Counterexample, compare_series
@@ -271,16 +274,6 @@ def gauss_binomial(a: int, b: int, step: int = 1, *, order: int) -> MultiSeries:
     return MultiSeries(order, terms)
 
 
-def _inverse_factorials(count: int, step: int, order: int) -> list[MultiSeries]:
-    """[1/(q^step; q^step)_n for n in 0..count] as truncated series, each
-    the previous one divided by one more binomial factor; past the order
-    the factors are 1, so the list repeats its last entry."""
-    inverses = [MultiSeries.one(order)]
-    for n in range(1, min(count, order // step) + 1):
-        inverses.append(inverses[-1]._over_binomial(1, step * n, 0, 0))
-    return inverses + [inverses[-1]] * (count + 1 - len(inverses))
-
-
 # -- named series builders ---------------------------------------------------
 
 
@@ -293,32 +286,39 @@ def _assert_y_bounded(series: MultiSeries) -> MultiSeries:
 
 def _double_sum(order: int, cells) -> MultiSeries:
     """Sum of x^a y^b q^e / ((q; q)_i (q^2; q^2)_j) over the (e, a, b, i, j)
-    cells, with both inverse-factorial lists built once."""
-    inv1 = _inverse_factorials(order, 1, order)
-    inv2 = _inverse_factorials(order, 2, order)
-    total = MultiSeries.zero(order)
+    cells in nested Horner form, over j and then i from the largest down:
+    each step adds its cells, then divides by (1 - q^i) or (1 - q^(2j))."""
+    rows: dict[int, dict[int, list[Key]]] = {}
     for e, a, b, i, j in cells:
-        head = MultiSeries.term(1, order, q=e, x=a, y=b)
-        total = total + head * inv1[i] * inv2[j]
+        rows.setdefault(j, {}).setdefault(i, []).append((e, a, b))
+    total = MultiSeries.zero(order)
+    for j in range(max(rows, default=0), -1, -1):
+        row = rows.get(j, {})
+        inner = MultiSeries.zero(order)
+        for i in range(max(row, default=0), -1, -1):
+            inner = inner + MultiSeries(order, Counter(row.get(i, ())))
+            if i:
+                inner = inner._over_binomial(1, i, 0, 0)
+        total = total + inner
+        if j:
+            total = total._over_binomial(1, 2 * j, 0, 0)
     return total
 
 
-def _alternating_sum(order: int, step: int, exponent) -> MultiSeries:
-    """Sum of t(n) = (-1)^n y^n q^exponent(n) (x; q^step)_n / (q; q)_n over
-    the n with exponent(n) <= order; exponent(n) >= n grows with n.  Each
-    term comes from the one before by the recurrence
-    t(n+1) = t(n) (-y q^(e(n+1) - e(n))) (1 - x q^(step n)) / (1 - q^(n+1))."""
+def _term_sum(order: int, head, a: Monomial, step: int) -> MultiSeries:
+    """Sum of t(n) over n >= 0, where t(0) = 1 and
+    t(n+1) = t(n) head(n) (1 - a q^(step n)) / (1 - q^(n+1)), up to the
+    first term that truncates to zero; ``head(n)`` is a Monomial."""
     total: dict[Key, int] = {}
-    e = exponent(0)
-    term = MultiSeries.term(1, order, q=e)
+    term = MultiSeries.one(order)
     n = 0
-    while e <= order:
+    while term.terms:
         for key, coeff in term.terms.items():
             total[key] = total.get(key, 0) + coeff
-        e_next = exponent(n + 1)
-        head = MultiSeries.term(-1, order, q=e_next - e, y=1)
-        term = (head * term)._times_binomial(1, step * n, 1, 0)._over_binomial(1, n + 1, 0, 0)
-        e = e_next
+        h = head(n)
+        term = MultiSeries.term(h.coeff, order, q=h.q, x=h.x, y=h.y) * term
+        term = term._times_binomial(a.coeff, a.q + step * n, a.x, a.y)
+        term = term._over_binomial(1, n + 1, 0, 0)
         n += 1
     return MultiSeries(order, total)
 
@@ -342,11 +342,11 @@ def build_run_double_sum_gf(order: int, x_weight) -> MultiSeries:
 
 
 def build_k_measure_gf(k: int, order: int) -> MultiSeries:
-    """(-yq; q)_inf times the alternating Pochhammer sum with (x; q^k)_n:
+    """(-yq; q)_inf times sum_n (-yq)^n (x; q^k)_n / (q; q)_n:
     strict partitions counted by x^(k-measure) y^length q^size."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    total = _alternating_sum(order, k, lambda n: n)
+    total = _term_sum(order, lambda n: Monomial(-1, y=1, q=1), Monomial(1, x=1), k)
     for shift in range(1, order + 1):
         total = total._times_binomial(-1, shift, 0, 1)
     return _assert_y_bounded(total)
@@ -354,8 +354,8 @@ def build_k_measure_gf(k: int, order: int) -> MultiSeries:
 
 def build_all_partitions_2measure_gf(order: int) -> MultiSeries:
     """All partitions counted by x^(2-measure) y^length q^size:
-    1/(yq; q)_inf times the q^(n(n+1)/2) alternating sum."""
-    total = _alternating_sum(order, 1, lambda n: n * (n + 1) // 2)
+    1/(yq; q)_inf times sum_n (-y)^n q^(n(n+1)/2) (x; q)_n / (q; q)_n."""
+    total = _term_sum(order, lambda n: Monomial(-1, y=1, q=n + 1), Monomial(1, x=1), 1)
     for shift in range(1, order + 1):
         total = total._over_binomial(1, shift, 0, 1)
     return _assert_y_bounded(total)
@@ -540,29 +540,29 @@ def check_qbinom(a: Monomial, order: int) -> dict:
     sum_m (a; q)_m (xq)^m / (q; q)_m = (axq; q)_inf / (xq; q)_inf,
     compared truncated in q at 2 * order.  Each x^m rides on q^m, so for a
     monomial a without x this covers every coefficient q^c x^m with
-    c, m <= order of the theorem in z = x.  The summands follow the
-    recurrence t(m+1) = t(m) xq (1 - a q^m) / (1 - q^(m+1)).  Returns the
-    term count, or raises ``Counterexample`` at the first difference."""
+    c, m <= order of the theorem in z = x.  The left side is the
+    builders' ``_term_sum`` with head xq.  Returns the term count, or
+    raises ``Counterexample`` at the first difference."""
     top = 2 * order
-    xq = MultiSeries.term(1, top, q=1, x=1)
-    lhs: dict[Key, int] = {}
-    term = MultiSeries.one(top)
-    m = 0
-    while term.terms:
-        for key, coeff in term.terms.items():
-            lhs[key] = lhs.get(key, 0) + coeff
-        term = (xq * term)._times_binomial(a.coeff, a.q + m, a.x, a.y)
-        term = term._over_binomial(1, m + 1, 0, 0)
-        m += 1
+    lhs = _term_sum(top, lambda m: Monomial(1, x=1, q=1), a, 1)
     rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q + 1), 1, None, top)
     for shift in range(1, top + 1):
         rhs = rhs._over_binomial(1, shift, 1, 0)
-    return {"terms": compare_series(MultiSeries(top, lhs), rhs)}
+    return {"terms": compare_series(lhs, rhs)}
+
+
+def _compare_laurent(built: LaurentPoly, expected: LaurentPoly) -> None:
+    """Raise ``Counterexample`` at the smallest (q, x) where the sides
+    differ, as ``q^c x^a: built A, expected B``."""
+    for q, x in sorted(built.terms.keys() | expected.terms.keys()):
+        a, b = built.terms.get((q, x), 0), expected.terms.get((q, x), 0)
+        if a != b:
+            raise Counterexample(f"q^{q} x^{x}: built {a}, expected {b}")
 
 
 def check_xq2_expansion(n: int) -> dict:
     """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials;
-    raises ``Counterexample`` when the sides differ."""
+    raises ``Counterexample`` at the smallest (q, x) where the sides differ."""
     lhs = LaurentPoly.poch(1, 0, 2, n, x=1)
     rhs = LaurentPoly.zero()
     for i in range(n + 1):
@@ -572,8 +572,7 @@ def check_xq2_expansion(n: int) -> dict:
             {(2 * exp, 0): coeff for exp, coeff in _gauss_coeffs(n, i).items()}
         )
         rhs = rhs + head * binom
-    if lhs != rhs:
-        raise Counterexample("sides differ as polynomials")
+    _compare_laurent(lhs, rhs)
     return {}
 
 
@@ -583,7 +582,8 @@ def check_qchu(i: int, j: int) -> dict:
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
     (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].
-    Returns whether both sides vanish, or raises ``Counterexample``.
+    Returns whether both sides vanish, or raises ``Counterexample`` at the
+    smallest (q, x) where they differ.
     """
     lhs = LaurentPoly.zero()
     for n in range(j + 1):
@@ -600,6 +600,5 @@ def check_qchu(i: int, j: int) -> dict:
         * LaurentPoly.poch(1, -i, 1, j)
         * LaurentPoly.poch(1, 1, 1, j)
     )
-    if lhs != rhs:
-        raise Counterexample("sides differ as Laurent polynomials")
+    _compare_laurent(lhs, rhs)
     return {"vanishes": int(lhs.is_zero())}

@@ -158,16 +158,52 @@ class TestBinomialSteps:
             f._over_binomial(1, 0, 1, 0)  # only q is truncated, so s = 0 has no inverse
 
     def test_no_builder_calls_invert(self, monkeypatch):
+        # builders divide only by binomial steps and multiply a series only
+        # by a monomial, never by another series
         def refuse(self):
             raise AssertionError("invert() called")
 
+        real_mul = MultiSeries.__mul__
+
+        def monomial_mul(self, other):
+            if isinstance(other, MultiSeries) and min(len(self.terms), len(other.terms)) > 1:
+                raise AssertionError("series x series product")
+            return real_mul(self, other)
+
         monkeypatch.setattr(MultiSeries, "invert", refuse)
+        monkeypatch.setattr(MultiSeries, "__mul__", monomial_mul)
         for name, params in (
             ("LHS_THM11", {}), ("RHS_THM11", {}), ("GF_SOL_LEN", {}), ("GF_KMEASURE", {"k": 3}),
             ("GF_2MEASURE_P", {}), ("GF_A_TYPES", {}), ("GF_B", {}), ("GF_PARITY", {"m": 3}),
         ):
             build(name, 10, **params)
         assert check_qbinom(Monomial(1, q=1), 6)["terms"] > 0
+
+
+# (e, a, b, i, j) with q^e, i and 2j reaching past ORDER
+cell_lists = st.lists(
+    st.tuples(
+        st.integers(0, ORDER + 2), st.integers(0, 2), st.integers(0, 2),
+        st.integers(0, ORDER + 2), st.integers(0, ORDER // 2 + 2),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=60)
+@given(cell_lists)
+@example([])
+@example([(1, 0, 1, 3, 0), (1, 0, 1, 3, 0), (0, 1, 0, 0, 2)])  # a duplicate, gaps in i and j
+@example([(2, 1, 1, ORDER + 1, ORDER // 2 + 1), (ORDER + 1, 0, 0, 1, 1)])
+def test_double_sum_matches_inverted_factorials(cells):
+    expected = MultiSeries.zero(ORDER)
+    for e, a, b, i, j in cells:
+        expected = expected + (
+            MultiSeries.term(1, ORDER, q=e, x=a, y=b)
+            * pochhammer(Monomial(1, q=1), 1, i, ORDER).invert()
+            * pochhammer(Monomial(1, q=2), 2, j, ORDER).invert()
+        )
+    assert qseries._double_sum(ORDER, cells) == expected
 
 
 class TestPochhammer:
@@ -461,6 +497,13 @@ class TestFiniteIdentities:
         with pytest.raises(Counterexample) as caught:
             check_qbinom(Monomial(1, q=1), 6)
         assert str(caught.value).startswith("q^12 x^6 y^0:")
+
+    def test_xq2_witness_names_a_coefficient(self, monkeypatch):
+        # every Gaussian binomial 1: (x; q^2)_2 keeps -x q^2, the sum loses it
+        monkeypatch.setattr(qseries, "_gauss_coeffs", lambda a, b: {0: 1})
+        with pytest.raises(Counterexample) as caught:
+            check_xq2_expansion(2)
+        assert str(caught.value) == "q^2 x^1: built -1, expected 0"
 
     def test_dispatch(self):
         assert check_xq2_expansion(3) == {}

@@ -269,7 +269,7 @@ class TestCheckers:
                 "FINITE_LEMMAS",
                 {"order": 5},
                 "FINITE_LEMMAS order<=5 FAIL",
-                "QCHU i=0 j=1 sides differ as Laurent polynomials",
+                "QCHU i=0 j=1 q^1 x^0: built 2, expected 0",
             ),
             (
                 qseries,
