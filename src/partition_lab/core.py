@@ -2,6 +2,9 @@
 
 A partition is stored once, canonically, as a non-increasing tuple of
 positive integers.  Every statistic here is a pure function of that tuple.
+The public constructor sorts and validates its parts; only the partition
+walk stores its own output unchecked, because it builds each stack sorted
+and positive.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ class Partition:
             if type(part) is not int or part < 1:  # bool is an int subclass
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         self.parts = ordered
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Store ``parts`` unchecked: a non-increasing tuple of positive ints,
+        built so by the caller.  Only ``_walk`` calls this."""
+        p = object.__new__(cls)
+        p.parts = parts
+        return p
 
     @property
     def size(self) -> int:
@@ -204,7 +215,8 @@ def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
             if distinct:
                 top -= 1
         if not remaining:
-            yield Partition(stack)
+            # a fresh tuple each time: the stack keeps changing after the yield
+            yield Partition._trusted(tuple(stack))
         ones = stack.count(1)  # a 1 has no smaller part to retry with
         del stack[len(stack) - ones :]
         if not stack:

@@ -6,7 +6,10 @@ truncation; x and y exponents are never cut.  Every q-product is built
 one binomial factor (1 - c q^s x^a y^b) at a time by two O(terms) steps:
 multiplying by it is one shifted add, and dividing by it (s >= 1) walks the
 exact recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q, so no
-inverse series is ever formed.  Every named series is one of two sums: a
+inverse series is ever formed.  The public constructor validates every
+exponent; only the two binomial steps store their own output unchecked
+(dropping cancelled zeros), because their bounds keep every exponent
+nonnegative and within the order.  Every named series is one of two sums: a
 double sum in nested Horner form over binomial steps, or one recurrence
 loop, which QBINOM runs as the Pochhammer builders do.  LaurentPoly quarantines
 the negative q-powers required by the terminating hypergeometric checks;
@@ -54,6 +57,16 @@ class MultiSeries:
                     continue
                 kept[(q, x, y)] = coeff
         self.terms = kept
+
+    @classmethod
+    def _trusted(cls, order: int, terms: dict[Key, int]) -> "MultiSeries":
+        """Store ``terms`` unchecked except that zero coefficients are dropped:
+        every exponent must already be nonnegative with q <= order.  Only the
+        binomial steps call this."""
+        series = object.__new__(cls)
+        series.order = order
+        series.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        return series
 
     # -- constructors ------------------------------------------------------
 
@@ -147,7 +160,7 @@ class MultiSeries:
             if q <= limit:
                 key = (q + s, x + a, y + b)
                 out[key] = out.get(key, 0) - c * coeff
-        return MultiSeries(self.order, out)
+        return MultiSeries._trusted(self.order, out)
 
     def _over_binomial(self, c: int, s: int, a: int, b: int) -> "MultiSeries":
         """This series divided by (1 - c q^s x^a y^b), by the exact
@@ -176,7 +189,7 @@ class MultiSeries:
                 else:
                     out[shifted] = c * out[key]
                     above.append(shifted)
-        return MultiSeries(order, out)
+        return MultiSeries._trusted(order, out)
 
     # -- inspection ----------------------------------------------------------
 

@@ -226,7 +226,7 @@ def _reference_partitions(n, max_part=None, distinct=False, odd=False):
 
     def emit(remaining, cap):
         if remaining == 0:
-            yield stack[:]
+            yield tuple(stack)
             return
         top = min(cap, remaining)
         if odd and top % 2 == 0:
@@ -245,8 +245,20 @@ class TestGenerator:
             for distinct, odd in itertools.product((False, True), repeat=2):
                 for max_part in (None, 0, 1, 2, 3, 4, 6, n, n + 3):
                     family = {"max_part": max_part, "distinct": distinct, "odd": odd}
-                    walked = [list(p.parts) for p in partitions(n, **family)]
+                    walked = [p.parts for p in partitions(n, **family)]
                     assert walked == list(_reference_partitions(n, **family)), (n, family)
+
+    def test_walk_yields_canonical_unaliased_partitions(self):
+        # the walk stores each stack unchecked, so it must already be the
+        # tuple the public constructor builds, and a fresh one per yield
+        for n in range(26):
+            for distinct, odd in itertools.product((False, True), repeat=2):
+                for max_part in (None, 1, 2, n):
+                    family = {"max_part": max_part, "distinct": distinct, "odd": odd}
+                    walked = list(partitions(n, **family))
+                    for p in walked:
+                        assert type(p.parts) is tuple and p == Partition(p.parts), (p, family)
+                    assert len(set(walked)) == len(walked), (n, family)
 
     def test_rejects_negative_arguments(self):
         # the checks run at call time, before any iteration

@@ -142,10 +142,19 @@ class TestBinomialSteps:
     @given(small_series, binomials)
     # f holds both k and k + shift, with c != 1
     @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (2, 1, 0, 0))
+    # coefficients cancel: (1 + q)(1 - q) drops q^1, and (1 - q)/(1 - q) is 1
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (1, 1, 0, 0))
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), -1)]), (1, 1, 0, 0))
     def test_steps_match_products(self, f, m):
-        assert f._times_binomial(*m) == f * one_minus(*m)
+        # the steps store their output unchecked, so each result must be
+        # what the checked constructor makes of its terms, with no zero kept
+        results = [(f._times_binomial(*m), f * one_minus(*m))]
         if m[1] >= 1:
-            assert f._over_binomial(*m) == f * one_minus(*m).invert()
+            results.append((f._over_binomial(*m), f * one_minus(*m).invert()))
+        for result, reference in results:
+            assert result == reference
+            assert result == MultiSeries(ORDER, result.terms)
+            assert all(result.terms.values())
 
     def test_steps_reject_bad_binomials(self):
         f = MultiSeries.one(ORDER)

@@ -1,4 +1,5 @@
-"""Family enumeration, counting functions, checkers, and example sets."""
+"""Family enumeration, counting functions, checkers, example sets, and
+guards on who may call what in the package source."""
 
 import ast
 import dataclasses
@@ -23,6 +24,21 @@ from partition_lab.verify import (
     verify,
     verify_all,
 )
+
+
+def _package_uses(matches):
+    """(file name, innermost enclosing function, node) for every node of the
+    package's source that ``matches``."""
+    uses = []
+    for path in sorted(Path(partition_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if matches(node):
+                inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(inside, key=lambda f: f.lineno) if inside else None
+                uses.append((path.name, owner and owner.name, node))
+    return uses
 
 
 class TestEnumerate:
@@ -379,24 +395,34 @@ class TestReports:
     def test_verify_alone_builds_reports(self):
         # every VerificationReport comes from verify.verify, so the name and
         # bounds on a report are always the ones a checker ran at
-        builders = []
-        for path in sorted(Path(partition_lab.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(), str(path))
-            functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-            for call in ast.walk(tree):
-                if not isinstance(call, ast.Call):
-                    continue
-                if ast.unparse(call.func).endswith("VerificationReport"):
-                    inside = [f for f in functions if f.lineno <= call.lineno <= f.end_lineno]
-                    owner = max(inside, key=lambda f: f.lineno) if inside else None
-                    builders.append((path.name, owner and owner.name))
-        assert builders == [("verify.py", "verify")]
+        builders = _package_uses(
+            lambda node: isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith("VerificationReport")
+        )
+        assert [(path, owner) for path, owner, _node in builders] == [("verify.py", "verify")]
 
     def test_to_dict_round_trip_fields(self):
         report = VerificationReport("Y", {"nmax": 5}, counts={"cells": 7})
         data = report.to_dict()
         assert data["status"] == "PASS" and data["counts"] == {"cells": 7}
         assert "elapsed_s" in data and data["elapsed_s"] is None  # only verify() times
+
+
+class TestTrustedConstruction:
+    def test_only_producers_of_the_invariant_skip_checks(self):
+        # Partition._trusted and MultiSeries._trusted store their input
+        # unchecked, so only the walk and the two binomial steps, which build
+        # a valid result themselves, may reach them; every reference counts,
+        # the name as a string too, so an alias cannot widen the path either
+        uses = _package_uses(
+            lambda node: getattr(node, "attr", None) == "_trusted"
+            or (isinstance(node, ast.Constant) and node.value == "_trusted")
+        )
+        assert sorted((path, owner, ast.unparse(node)) for path, owner, node in uses) == [
+            ("core.py", "_walk", "Partition._trusted"),
+            ("qseries.py", "_over_binomial", "MultiSeries._trusted"),
+            ("qseries.py", "_times_binomial", "MultiSeries._trusted"),
+        ]
 
 
 class TestExampleSets:
