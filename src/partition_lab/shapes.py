@@ -3,15 +3,18 @@
 Durfee and sub-Durfee sides, 2-modular diagrams in both drawing
 conventions (1-cells at the end of each row, or along the right border of
 the Durfee square), triples around a Durfee square, and the alternating
-index of an odd partition.
+index of an odd partition.  Every statistic is computed in one pass over
+the part tuple; the triples, 2-modular conjugation and diagrams are the
+definitions that the tests compare the statistics against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Partition, parity_index, union
+from .core import Partition, parity_index
 
 
 class DurfeeType(Enum):
@@ -111,15 +114,19 @@ class ModularDiagram:
         return self.render()
 
 
+def _fit(widths: Sequence[int], start: int = 0, extra: int = 0) -> int:
+    """Side j of the tallest j-by-(j + extra) rectangle in ``widths[start:]``."""
+    j = 0
+    for width in widths[start:]:
+        if width <= j + extra:
+            break
+        j += 1
+    return j
+
+
 def durfee_side(p: Partition) -> int:
     """Side of the largest square in the Ferrers diagram; 0 for empty."""
-    k = 0
-    for i, part in enumerate(p.parts, start=1):
-        if part >= i:
-            k = i
-        else:
-            break
-    return k
+    return _fit(p.parts)
 
 
 def ordinary_triple(p: Partition) -> Triple:
@@ -130,28 +137,21 @@ def ordinary_triple(p: Partition) -> Triple:
     return Triple(k, right, below, TripleKind.ORDINARY)
 
 
-def _sub_durfee(p: Partition) -> tuple[DurfeeType, int]:
-    # Type I when row k strictly exceeds k (then take the Durfee side of the
-    # part below the square); type II when it equals k (then the tallest
+def _sub_durfee(widths: Sequence[int]) -> tuple[DurfeeType, int]:
+    # Type I when row k strictly exceeds k (then the Durfee side of the rows
+    # below the square); type II when it equals k (then the tallest
     # j-by-(j+1) rectangle fitting below, 0 when none fits).
-    k = durfee_side(p)
-    below = Partition(p.parts[k:])
-    if p.parts[k - 1] > k:
-        return DurfeeType.TYPE_I, durfee_side(below)
-    j = 0
-    for i, part in enumerate(below.parts, start=1):
-        if part >= i + 1:
-            j = i
-        else:
-            break
-    return DurfeeType.TYPE_II, j
+    k = _fit(widths)
+    if widths[k - 1] > k:
+        return DurfeeType.TYPE_I, _fit(widths, k)
+    return DurfeeType.TYPE_II, _fit(widths, k, 1)
 
 
 def sub_durfee_side(p: Partition) -> tuple[DurfeeType, int]:
     """Type and sub-Durfee side of a nonempty partition."""
     if not p:
         raise ValueError("sub-Durfee side is not defined for the empty partition")
-    return _sub_durfee(p)
+    return _sub_durfee(p.parts)
 
 
 def modular2_shape(p: Partition) -> Partition:
@@ -161,14 +161,14 @@ def modular2_shape(p: Partition) -> Partition:
 
 def dur2(p: Partition) -> int:
     """Durfee side of the 2-modular diagram's shape."""
-    return durfee_side(modular2_shape(p))
+    return _fit([(part + 1) // 2 for part in p.parts])
 
 
 def dur2_sub(p: Partition) -> tuple[DurfeeType, int]:
     """Type and sub-Durfee side of the 2-modular diagram's shape."""
     if not p:
         raise ValueError("2-modular sub-Durfee side is not defined for the empty partition")
-    return _sub_durfee(modular2_shape(p))
+    return _sub_durfee([(part + 1) // 2 for part in p.parts])
 
 
 def modular2_diagram(p: Partition, border: Border = Border.LAST_CELL) -> ModularDiagram:
@@ -241,15 +241,21 @@ def alternating_index(p: Partition) -> int:
     Form eta as the union of the conjugated right subpartition and the below
     subpartition of the 2-modular triple, list its parts non-decreasing,
     append 2k for type I (row k exceeding 2k-1) or 2k-1 for type II, and
-    count parity switches.
+    count parity switches.  Equal neighbours never switch parity, and the
+    conjugated right part has a part 2i exactly when row i exceeds row i + 1
+    (row k + 1 read as 2k - 1), so a set of parts suffices.
     """
-    if not p:
+    parts = p.parts
+    for part in parts:
+        if part % 2 == 0:
+            raise ValueError(f"alternating index needs odd parts, got {part}")
+    if not parts:
         return 0
-    triple = modular2_triple(p)
-    k = triple.durfee
-    eta = union(modular2_conjugate_even(triple.right), triple.below)
-    tail = 2 * k if p.parts[k - 1] > 2 * k - 1 else 2 * k - 1
-    sequence = list(eta.parts[::-1]) + [tail]
-    if any(a > b for a, b in zip(sequence, sequence[1:])):
-        raise RuntimeError(f"alternating-index sequence of {p} is not non-decreasing")
-    return parity_index(sequence)
+    k = _fit([(part + 1) // 2 for part in parts])
+    tail = 2 * k if parts[k - 1] > 2 * k - 1 else 2 * k - 1
+    lower = parts[1:k] + (2 * k - 1,)
+    values = {2 * i for i in range(1, k + 1) if parts[i - 1] > lower[i - 1]}
+    values.update(parts[k:], (tail,))
+    if max(values) > tail:
+        raise RuntimeError(f"alternating-index sequence of {p} exceeds its tail {tail}")
+    return parity_index(sorted(values))

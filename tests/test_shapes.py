@@ -2,11 +2,12 @@
 
 import pytest
 
-from partition_lab.core import Partition, parse, partitions
+from partition_lab.core import Partition, parity_index, parse, partitions, union
 from partition_lab.shapes import (
     Border,
     DurfeeType,
     ModularDiagram,
+    Triple,
     alternating_index,
     dur2,
     dur2_sub,
@@ -22,6 +23,19 @@ from partition_lab.shapes import (
 
 def odd_partitions(n):
     return (p for p in partitions(n) if p.is_odd_parts())
+
+
+def triple_alternating_index(p):
+    """The alternating index by its definition, through the 2-modular triple."""
+    if not p:
+        return 0
+    triple = modular2_triple(p)
+    k = triple.durfee
+    eta = union(modular2_conjugate_even(triple.right), triple.below)
+    tail = 2 * k if p.parts[k - 1] > 2 * k - 1 else 2 * k - 1
+    sequence = list(eta.parts[::-1]) + [tail]
+    assert all(a <= b for a, b in zip(sequence, sequence[1:])), p
+    return parity_index(sequence)
 
 
 class TestDurfee:
@@ -48,6 +62,19 @@ class TestDurfee:
             sub_durfee_side(Partition())
         with pytest.raises(ValueError):
             dur2_sub(Partition())
+
+    def test_sub_durfee_matches_ordinary_triple(self):
+        # type I exactly when all k rows reach past the square; type I measures
+        # the square below it, type II the square below it minus its first column
+        for n in range(1, 25):
+            for p in partitions(n):
+                t = ordinary_triple(p)
+                if t.right.length == t.durfee:
+                    expected = (DurfeeType.TYPE_I, durfee_side(t.below))
+                else:
+                    narrowed = Partition(part - 1 for part in t.below.parts if part > 1)
+                    expected = (DurfeeType.TYPE_II, durfee_side(narrowed))
+                assert sub_durfee_side(p) == expected, p
 
     def test_triple_round_trip_and_size_law(self):
         for n in range(19):
@@ -124,7 +151,9 @@ class TestModular2Statistics:
                 for i, part in enumerate(p.parts, start=1):
                     if part >= 2 * i - 1:
                         expected = i
-                assert dur2(p) == expected
+                assert dur2(p) == expected == durfee_side(modular2_shape(p))
+                if p:
+                    assert dur2_sub(p) == sub_durfee_side(modular2_shape(p))
 
     def test_dur2_sub_examples(self):
         assert dur2_sub(parse("7+6+6+5+1+1")) == (DurfeeType.TYPE_II, 1)
@@ -193,9 +222,35 @@ class TestAlternatingIndex:
                 expected_even = kind is DurfeeType.TYPE_I
                 assert (alternating_index(p) % 2 == 0) == expected_even, p
 
+    def test_matches_triple_definition(self):
+        for n in range(31):
+            for p in partitions(n, odd=True):
+                assert alternating_index(p) == triple_alternating_index(p), p
+
     def test_rejects_even_parts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alternating index needs odd parts, got 4"):
             alternating_index(parse("4+1"))
+
+
+def test_statistics_build_no_intermediate(monkeypatch):
+    # the walk stores through Partition._trusted, so only a statistic that
+    # builds an intermediate Partition, Triple or diagram reaches these
+    def refuse(self, *args):
+        raise AssertionError(f"a statistic constructed a {type(self).__name__}")
+
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    monkeypatch.setattr(Triple, "__post_init__", refuse)
+    monkeypatch.setattr(ModularDiagram, "__post_init__", refuse)
+    for n in range(21):
+        for family in ({}, {"distinct": True}, {"odd": True}):
+            for p in partitions(n, **family):
+                durfee_side(p)
+                dur2(p)
+                if p:
+                    sub_durfee_side(p)
+                    dur2_sub(p)
+                if p.is_odd_parts():
+                    alternating_index(p)
 
 
 class TestShapeHelpers:
