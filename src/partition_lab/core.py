@@ -3,8 +3,11 @@
 A partition is stored once, canonically, as a non-increasing tuple of
 positive integers.  Every statistic here is a pure function of that tuple.
 The public constructor sorts and validates its parts; only the partition
-walk stores its own output unchecked, because it builds each stack sorted
-and positive.
+walk stores its own output unchecked, because it builds each part array
+sorted and positive.  The walk keeps the parts in one preallocated array
+in which every entry past the last part greater than 1 is a 1, so it never
+writes, counts or deletes trailing 1s (Zoghbi and Stojmenovic's ZS1 step,
+which keeps the reverse-lexicographic order).
 """
 
 from __future__ import annotations
@@ -186,41 +189,65 @@ def partitions(
     partitions and ``odd`` to partitions into odd parts, which are
     generated directly rather than filtered.  The stream is deterministic.
 
-    One explicit-stack loop: fill greedily with as many copies of the
-    largest allowed part as fit (one when ``distinct``) and yield at ``n``;
-    on a dead end or after a yield, drop the trailing 1s, pop a part p and
-    retry with p - 1 (p - 2 when ``odd``).
+    One loop over a preallocated array ``x = [1] * n`` whose first m
+    entries are the parts, with h the index of the last part greater than
+    1 and ``x[i] == 1`` for every i > h, so trailing 1s are never written,
+    counted or deleted.  Fill greedily from h + 1 with as many copies of
+    the largest allowed part as fit (one when ``distinct``), where a fill
+    of 1s only moves m, and yield at ``n``; on a dead end or after a yield,
+    reset the part x[h] = p to 1 and refill with parts up to p - 1 (p - 2
+    when ``odd``).  This is Zoghbi and Stojmenovic's ZS1 step: it keeps
+    the reverse-lexicographic order, which the ascending AccelAsc walk
+    would not, and takes O(1) amortized steps per unrestricted partition.
     """
+    if type(n) is not int:  # bool is an int subclass
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is not None and max_part < 0:
-        raise ValueError("max_part must be nonnegative")
+    if max_part is not None:
+        if type(max_part) is not int:
+            raise ValueError(f"max_part must be an integer or None, got {max_part!r}")
+        if max_part < 0:
+            raise ValueError("max_part must be nonnegative")
     return _walk(n, n if max_part is None else max_part, distinct, odd)
 
 
 def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
     step = 2 if odd else 1
-    stack: list[int] = []
+    x = [1] * n  # the parts are x[:m], and x[i] == 1 for every i > h
+    h = -1  # index of the last part greater than 1
+    m = 0
     remaining = n
     while True:
         while remaining:
-            top = min(top, remaining)
+            if top > remaining:
+                top = remaining
             if odd and not top % 2:
                 top -= 1
-            if top < 1:
-                break  # dead end: no allowed part fits
-            copies = 1 if distinct else remaining // top
-            stack += [top] * copies
-            remaining -= top * copies
+            if top < 2:
+                if top == 1 and (remaining == 1 or not distinct):
+                    m += remaining  # the implicit 1s are already in place
+                    remaining = 0
+                break  # otherwise a dead end: no allowed part fits
             if distinct:
+                x[m] = top
+                m += 1
+                remaining -= top
                 top -= 1
+            else:
+                copies = remaining // top
+                x[m : m + copies] = [top] * copies
+                m += copies
+                remaining -= top * copies
+            h = m - 1
         if not remaining:
-            # a fresh tuple each time: the stack keeps changing after the yield
-            yield Partition._trusted(tuple(stack))
-        ones = stack.count(1)  # a 1 has no smaller part to retry with
-        del stack[len(stack) - ones :]
-        if not stack:
-            return
-        part = stack.pop()
-        remaining += ones + part
+            # a fresh tuple each time: x keeps changing after the yield
+            yield Partition._trusted(tuple(x[:m]))
+        if h < 0:
+            return  # only 1s are left, and a 1 has no smaller part to retry with
+        part = x[h]
+        x[h] = 1
+        remaining += part + m - h - 1
+        m = h
+        h -= 1
         top = part - step

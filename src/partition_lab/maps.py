@@ -321,9 +321,12 @@ def _hook_lengths(p: Partition) -> list[int]:
 
 
 def _hook_image(p: Partition, hooks: list[int]) -> Partition:
-    # the hook readings of p, a trailing zero dropped, must be strict of size |p|
-    image = Partition(hooks[:-1] if hooks[-1] == 0 else hooks)
-    if not image.is_strict() or image.size != p.size:
+    # the hook readings of p, a trailing zero dropped, must already be a
+    # strict partition of |p| in decreasing order, so the image's parts give
+    # the readings back
+    readings = tuple(hooks[:-1] if hooks[-1] == 0 else hooks)
+    image = Partition(readings)
+    if image.parts != readings or not image.is_strict() or image.size != p.size:
         raise RuntimeError(f"hooks of {p} gave {image}, not a strict partition of {p.size}")
     return image
 
@@ -351,10 +354,16 @@ def sylvester_stats_check(p: Partition) -> dict:
     relation that fails.  An image that is not a strict partition of the
     same size raises ``RuntimeError`` when it is built.
     """
+    return _transported_stats(p, sylvester(p))
+
+
+def _transported_stats(p: Partition, image: Partition) -> dict:
+    # the checks of sylvester_stats_check on p and its image sylvester(p)
     if not p:
         return {}
-    ell = _hook_lengths(p)
-    image = _hook_image(p, ell)
+    # the hook readings: the image's parts, with the trailing zero that
+    # _hook_image drops put back when the length is odd
+    ell = list(image.parts) + [0] * (image.length % 2)
     k = dur2(p)
     problems: list[str] = []
     if k != (image.length + 1) // 2:

@@ -270,8 +270,9 @@ def check_sylvester(nmax: int) -> dict:
         total = 0
         for p in partitions(n, odd=True):
             total += 1
-            maps.sylvester_stats_check(p)
-            images.add(maps.sylvester(p))
+            image = maps.sylvester(p)
+            maps._transported_stats(p, image)
+            images.add(image)
             checked += 1
         strict_set = set(partitions(n, distinct=True))
         if images != strict_set or len(images) != total:

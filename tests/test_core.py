@@ -1,5 +1,6 @@
 """Core partition type and statistics."""
 
+import functools
 import itertools
 
 import pytest
@@ -220,7 +221,7 @@ class TestParityIndex:
 
 
 def _reference_partitions(n, max_part=None, distinct=False, odd=False):
-    """The recursive generator that the explicit-stack walk replaced, kept
+    """The recursive generator that the partition walk replaced, kept
     as an independent oracle for its order."""
     stack = []
 
@@ -249,7 +250,7 @@ class TestGenerator:
                     assert walked == list(_reference_partitions(n, **family)), (n, family)
 
     def test_walk_yields_canonical_unaliased_partitions(self):
-        # the walk stores each stack unchecked, so it must already be the
+        # the walk stores each part array unchecked, so it must already be the
         # tuple the public constructor builds, and a fresh one per yield
         for n in range(26):
             for distinct, odd in itertools.product((False, True), repeat=2):
@@ -267,6 +268,39 @@ class TestGenerator:
         for n in (0, 5):  # once [Partition('0')] and nothing, respectively
             with pytest.raises(ValueError, match="max_part must be"):
                 partitions(n, max_part=-1)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 5.0])
+    def test_rejects_non_int_arguments(self, bad):
+        # the walk stores its output unchecked, so a bool or a float must
+        # never reach it; the check is a plain if, so it also runs under -O
+        with pytest.raises(ValueError, match="n must be an integer"):
+            partitions(bad)
+        with pytest.raises(ValueError, match="max_part must be an integer"):
+            partitions(5, max_part=bad)
+
+    def test_deep_counts_match_largest_part_recurrence(self):
+        # beyond the sizes the recursive oracle covers: every family and cap
+        # has the count of an independent recurrence on the largest part,
+        # and the stream is strictly decreasing, so it holds no repeats
+        @functools.lru_cache(maxsize=None)
+        def count(n, cap, distinct, odd):
+            total = int(n == 0)
+            for part in range(1, min(cap, n) + 1):
+                if not (odd and part % 2 == 0):
+                    total += count(n - part, part - 1 if distinct else part, distinct, odd)
+            return total
+
+        for n in (26, 33, 40):
+            for distinct, odd in ((False, False), (True, False), (False, True)):
+                for max_part in (None, 1, 2, n // 2):
+                    cap = n if max_part is None else max_part
+                    walked = [p.parts for p in partitions(n, max_part=max_part, distinct=distinct, odd=odd)]
+                    assert len(walked) == count(n, cap, distinct, odd), (n, max_part, distinct, odd)
+                    assert all(a > b for a, b in zip(walked, walked[1:]))
+                    for parts in walked:
+                        assert sum(parts) == n and parts[0] <= cap, parts
+                        assert not distinct or len(set(parts)) == len(parts), parts
+                        assert not odd or all(part % 2 for part in parts), parts
 
     def test_reverse_lex_order(self):
         listing = [p.parts for p in partitions(6)]

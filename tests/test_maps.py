@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import partition_lab
-from partition_lab import maps
+from partition_lab import maps, verify
 from partition_lab.core import Partition, k_measure, parity_index, parse, partitions, sol
 from partition_lab.maps import (
     LabeledPartition,
@@ -29,6 +29,7 @@ from partition_lab.maps import (
     sylvester,
     sylvester_stats_check,
 )
+from partition_lab.report import Counterexample
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,6 +235,30 @@ class TestSylvester:
         monkeypatch.setattr(maps, "_hook_lengths", lambda p: calls.append(p) or real(p))
         assert sylvester_stats_check(parse("9+7+7+5+1+1")) == {}
         assert len(calls) == 1
+
+    def test_checker_reads_hooks_once_per_partition(self, monkeypatch):
+        # check_sylvester checks the statistics on the image it already
+        # built, so each nonempty odd partition's hooks are read once
+        calls = []
+        real = maps._hook_lengths
+        monkeypatch.setattr(maps, "_hook_lengths", lambda p: calls.append(p) or real(p))
+        nonempty = sum(len(odd_partitions(n)) for n in range(1, 15))
+        assert verify.check_sylvester(14) == {"partitions": nonempty + 1}
+        assert len(calls) == nonempty
+
+    def test_stats_check_flags_a_relation_on_the_image(self):
+        # the relations read the hooks back from the image's parts: with
+        # l2 = 6 in place of the 7 of sylvester(9+7+7+5+1+1) = 10+7+5+4+3+1,
+        # l1 - l2 - 1 no longer counts the two 1s
+        with pytest.raises(Counterexample, match="multiplicity of 1"):
+            maps._transported_stats(parse("9+7+7+5+1+1"), parse("10+6+5+4+3+1"))
+
+    def test_hooks_out_of_order_raise(self, monkeypatch):
+        # the statistics are read back from the image's parts, so the hook
+        # readings must already be in decreasing order
+        monkeypatch.setattr(maps, "_hook_lengths", lambda p: [1, 2])
+        with pytest.raises(RuntimeError, match="hooks of 3 gave 2\\+1"):
+            sylvester(parse("3"))
 
     def test_stats_check_raises_on_size_change(self, monkeypatch):
         monkeypatch.setattr(maps, "_hook_lengths", lambda p: [4, 0])
