@@ -39,7 +39,6 @@ from .qseries import (
     Monomial,
     MultiSeries,
     build,
-    gauss_binomial,
     pochhammer,
 )
 from .report import Counterexample, VerificationReport
@@ -47,17 +46,11 @@ from .shapes import (
     Border,
     DurfeeType,
     ModularDiagram,
-    Triple,
-    TripleKind,
     alternating_index,
     dur2,
     dur2_sub,
     durfee_side,
-    modular2_conjugate_even,
     modular2_diagram,
-    modular2_shape,
-    modular2_triple,
-    ordinary_triple,
     sub_durfee_side,
 )
 from .verify import (

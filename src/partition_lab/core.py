@@ -157,7 +157,7 @@ def k_measure(p: Partition, k: int) -> int:
     Greedy from the largest part; on a sorted list this greedy choice is
     optimal (cross-checked against exhaustive search in the test suite).
     """
-    if k < 1:
+    if type(k) is not int or k < 1:  # bool is an int subclass
         raise ValueError("k must be a positive integer")
     count = 0
     last: int | None = None

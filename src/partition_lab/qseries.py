@@ -196,9 +196,6 @@ class MultiSeries:
     def coefficient(self, q: int, x: int = 0, y: int = 0) -> int:
         return self.terms.get((q, x, y), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def map_exponents(self, fn) -> "MultiSeries":
         """Rebuild the series sending each exponent triple through ``fn``."""
         out: dict[Key, int] = {}
@@ -271,22 +268,6 @@ def _gauss_coeffs(a: int, b: int) -> dict[int, int]:
     return prev[b]
 
 
-def gauss_binomial(a: int, b: int, step: int = 1, *, order: int) -> MultiSeries:
-    """Gaussian binomial [a, b] in the variable q^step, truncated at ``order``.
-
-    Counts partitions inside the b-by-(a-b) box; b > a gives the zero series.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("arguments must be nonnegative")
-    if step < 1:
-        raise ValueError("step must be a positive q-power")
-    terms = {
-        (exp * step, 0, 0): coeff
-        for exp, coeff in _gauss_coeffs(a, b).items()
-    }
-    return MultiSeries(order, terms)
-
-
 # -- named series builders ---------------------------------------------------
 
 
@@ -357,7 +338,7 @@ def build_run_double_sum_gf(order: int, x_weight) -> MultiSeries:
 def build_k_measure_gf(k: int, order: int) -> MultiSeries:
     """(-yq; q)_inf times sum_n (-yq)^n (x; q^k)_n / (q; q)_n:
     strict partitions counted by x^(k-measure) y^length q^size."""
-    if k < 1:
+    if type(k) is not int or k < 1:  # bool is an int subclass
         raise ValueError("k must be a positive integer")
     total = _term_sum(order, lambda n: Monomial(-1, y=1, q=1), Monomial(1, x=1), k)
     for shift in range(1, order + 1):
@@ -413,7 +394,7 @@ def _parity_cells(m: int, shift: int, y: int, order: int):
 def build_parity_index_gf(m: int, order: int) -> MultiSeries:
     """Partitions with largest part exactly ``m`` counted by
     x^(parity index) q^size."""
-    if m < 1:
+    if type(m) is not int or m < 1:  # bool is an int subclass
         raise ValueError("m must be a positive integer")
     return _double_sum(order, _parity_cells(m, 0, 0, order))
 

@@ -2,10 +2,11 @@
 
 Durfee and sub-Durfee sides, 2-modular diagrams in both drawing
 conventions (1-cells at the end of each row, or along the right border of
-the Durfee square), triples around a Durfee square, and the alternating
-index of an odd partition.  Every statistic is computed in one pass over
-the part tuple; the triples, 2-modular conjugation and diagrams are the
-definitions that the tests compare the statistics against.
+the Durfee square), and the alternating index of an odd partition.  Every
+statistic is computed in one pass over the part tuple.  The definitions
+they are checked against (the splits around the ordinary and 2-modular
+Durfee squares, 2-modular conjugation of even partitions and the 2-modular
+row widths) live as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -29,54 +30,6 @@ class Border(Enum):
     RIGHT_BORDER = "right"
 
 
-class TripleKind(Enum):
-    ORDINARY = "ordinary"
-    MODULAR2 = "2-modular"
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A partition decomposed around its (2-modular) Durfee square.
-
-    ``right`` sits to the right of the k-by-k square, ``below`` underneath.
-    Size law: ordinary ``k^2 + |right| + |below|``; 2-modular
-    ``k(2k-1) + |right| + |below|``.
-    """
-
-    durfee: int
-    right: Partition
-    below: Partition
-    kind: TripleKind = TripleKind.ORDINARY
-
-    def __post_init__(self) -> None:
-        k = self.durfee
-        if self.right.length > k:
-            raise ValueError("right subpartition has more parts than the Durfee side")
-        if self.kind is TripleKind.ORDINARY:
-            if any(part > k for part in self.below.parts):
-                raise ValueError("below subpartition has a part wider than the square")
-        else:
-            if any(part % 2 for part in self.right.parts):
-                raise ValueError("2-modular right subpartition must have even parts")
-            if any(part % 2 == 0 or part > 2 * k - 1 for part in self.below.parts):
-                raise ValueError(
-                    "2-modular below subpartition must have odd parts <= 2k-1"
-                )
-
-    @property
-    def square_weight(self) -> int:
-        k = self.durfee
-        return k * k if self.kind is TripleKind.ORDINARY else k * (2 * k - 1)
-
-    def to_partition(self) -> Partition:
-        """Reassemble the partition the triple was cut from."""
-        k = self.durfee
-        row = k if self.kind is TripleKind.ORDINARY else 2 * k - 1
-        alpha = self.right.parts
-        head = [row + (alpha[i] if i < len(alpha) else 0) for i in range(k)]
-        return Partition(head + list(self.below.parts))
-
-
 @dataclass(frozen=True)
 class ModularDiagram:
     """A 2-modular diagram: rows of cells holding 1 or 2.
@@ -98,10 +51,6 @@ class ModularDiagram:
             for j in range(len(lower)):
                 if upper[j] < lower[j]:
                     raise ValueError(f"column {j + 1} increases downward")
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(len(row) for row in self.rows)
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
@@ -129,14 +78,6 @@ def durfee_side(p: Partition) -> int:
     return _fit(p.parts)
 
 
-def ordinary_triple(p: Partition) -> Triple:
-    """Split ``p`` into (k; right, below) around its Durfee square."""
-    k = durfee_side(p)
-    right = Partition(p.parts[i] - k for i in range(k) if p.parts[i] > k)
-    below = Partition(p.parts[k:])
-    return Triple(k, right, below, TripleKind.ORDINARY)
-
-
 def _sub_durfee(widths: Sequence[int]) -> tuple[DurfeeType, int]:
     # Type I when row k strictly exceeds k (then the Durfee side of the rows
     # below the square); type II when it equals k (then the tallest
@@ -152,11 +93,6 @@ def sub_durfee_side(p: Partition) -> tuple[DurfeeType, int]:
     if not p:
         raise ValueError("sub-Durfee side is not defined for the empty partition")
     return _sub_durfee(p.parts)
-
-
-def modular2_shape(p: Partition) -> Partition:
-    """Row lengths of the 2-modular diagram: ceil(part / 2)."""
-    return Partition((part + 1) // 2 for part in p.parts)
 
 
 def dur2(p: Partition) -> int:
@@ -178,6 +114,8 @@ def modular2_diagram(p: Partition, border: Border = Border.LAST_CELL) -> Modular
     requires all parts odd and puts the 1s in column k (k the 2-modular
     Durfee side) of the first k rows, then at the end of each lower row.
     """
+    if not isinstance(border, Border):
+        raise ValueError(f"border must be a Border, got {border!r}")
     rows: list[tuple[int, ...]] = []
     if border is Border.LAST_CELL:
         for part in p.parts:
@@ -199,40 +137,6 @@ def modular2_diagram(p: Partition, border: Border = Border.LAST_CELL) -> Modular
     if diagram.row_sums() != p.parts:
         raise RuntimeError(f"2-modular diagram of {p} has row sums {diagram.row_sums()}")
     return diagram
-
-
-def modular2_triple(p: Partition) -> Triple:
-    """Split an odd partition around the Durfee square of its 2-modular diagram.
-
-    With k the 2-modular Durfee side, ``right`` holds the even parts
-    ``part_i - (2k - 1)`` for the first k rows (zeros dropped) and ``below``
-    the untouched rows underneath.
-    """
-    if not p:
-        raise ValueError("2-modular triple is not defined for the empty partition")
-    for part in p.parts:
-        if part % 2 == 0:
-            raise ValueError(f"2-modular triple needs odd parts, got {part}")
-    k = dur2(p)
-    right = Partition(
-        p.parts[i] - (2 * k - 1) for i in range(k) if p.parts[i] > 2 * k - 1
-    )
-    below = Partition(p.parts[k:])
-    return Triple(k, right, below, TripleKind.MODULAR2)
-
-
-def modular2_conjugate_even(a: Partition) -> Partition:
-    """Conjugate an all-even partition through its 2-modular diagram.
-
-    Its diagram is all 2-cells; transposing and reading row sums doubles the
-    ordinary conjugate of the halved partition.  An involution on even
-    partitions, preserving size.
-    """
-    for part in a.parts:
-        if part % 2:
-            raise ValueError(f"2-modular conjugation needs even parts, got {part}")
-    half = Partition(part // 2 for part in a.parts)
-    return Partition(2 * part for part in half.conjugate().parts)
 
 
 def alternating_index(p: Partition) -> int:

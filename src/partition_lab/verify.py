@@ -525,6 +525,8 @@ def verify(name: str, **bounds) -> VerificationReport:
             raise ValueError(f"checker {name} does not accept bound {key!r}")
         kwargs[key] = value
     for key, value in kwargs.items():
+        if type(value) is not int:  # bool is an int subclass
+            raise ValueError(f"checker {name} needs an integer {key}, got {value!r}")
         least = _LEAST_BOUND.get(key)
         if least is not None and value < least:
             raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")

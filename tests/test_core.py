@@ -180,6 +180,10 @@ class TestKMeasure:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             k_measure(Partition([2]), 0)
+        # a bool or a float compares like an int, so only its type rules it out
+        for bad in (True, 1.5, 2.0):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                k_measure(parse("5+4+2"), bad)
 
 
 class TestUnionAndConjugate:

@@ -1,8 +1,9 @@
-"""Exact truncated series ring, Pochhammer/Gaussian builders, named series,
-and the finite hypergeometric checkers."""
+"""Exact truncated series ring, Pochhammer products, Gaussian binomial
+coefficients, named series, and the finite hypergeometric checkers."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from partition_lab.qseries import (
     check_qbinom,
     check_qchu,
     check_xq2_expansion,
-    gauss_binomial,
     pochhammer,
 )
 from partition_lab.report import Counterexample
@@ -246,50 +246,47 @@ class TestPochhammer:
         far = pochhammer(Monomial(1, x=1), 2, 10**9, ORDER)
         assert far == pochhammer(Monomial(1, x=1), 2, ORDER + 1, ORDER)
 
+    def test_negative_length_rejected(self):
+        # a negative length would silently give the empty product
+        with pytest.raises(ValueError):
+            pochhammer(Monomial(1, q=1), 1, -3, 5)
+
     def test_poch_times_inverse(self):
         product = pochhammer(Monomial(1, q=1), 1, 3, ORDER)
         assert product * product.invert() == MultiSeries.one(ORDER)
 
 
 class TestGaussBinomial:
+    # _gauss_coeffs(a, b) is {exponent: coefficient} of the Gaussian binomial [a, b]
     def test_choose_zero(self):
         for a in range(5):
-            assert gauss_binomial(a, 0, order=ORDER) == MultiSeries.one(ORDER)
+            assert qseries._gauss_coeffs(a, 0) == {0: 1}
 
     def test_two_choose_one(self):
-        assert gauss_binomial(2, 1, order=ORDER) == MultiSeries(
-            ORDER, {(0, 0, 0): 1, (1, 0, 0): 1}
-        )
+        assert qseries._gauss_coeffs(2, 1) == {0: 1, 1: 1}
 
     def test_four_choose_two_coefficients(self):
-        got = gauss_binomial(4, 2, order=ORDER)
-        assert [got.coefficient(i) for i in range(5)] == [1, 1, 2, 1, 1]
+        assert qseries._gauss_coeffs(4, 2) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
 
     def test_out_of_range_is_zero(self):
-        assert gauss_binomial(3, 5, order=ORDER).is_zero()
+        assert qseries._gauss_coeffs(3, 5) == {}
+
+    def test_palindromic_and_binomial_at_q_one(self):
+        for a in range(12):
+            for b in range(a + 1):
+                coeffs = qseries._gauss_coeffs(a, b)
+                top = b * (a - b)
+                assert all(coeffs[e] == coeffs[top - e] for e in range(top + 1)), (a, b)
+                assert sum(coeffs.values()) == math.comb(a, b), (a, b)
 
     def test_counts_box_partitions(self):
         for a in range(9):
             for b in range(a + 1):
-                series = gauss_binomial(a, b, order=ORDER)
-                for size in range(ORDER + 1):
-                    assert series.coefficient(size) == box_partition_count(
+                coeffs = qseries._gauss_coeffs(a, b)
+                for size in range(b * (a - b) + 2):  # up to one past the top degree
+                    assert coeffs.get(size, 0) == box_partition_count(
                         b, a - b, size
                     ), (a, b, size)
-
-    def test_degenerate_step_and_length_rejected(self):
-        # step 0 would fold every exponent onto q^0, and a negative length
-        # would silently give the empty product
-        with pytest.raises(ValueError):
-            gauss_binomial(4, 2, step=0, order=5)
-        with pytest.raises(ValueError):
-            pochhammer(Monomial(1, q=1), 1, -3, 5)
-
-    def test_step_scales_exponents(self):
-        plain = gauss_binomial(4, 2, order=ORDER)
-        doubled = gauss_binomial(4, 2, step=2, order=2 * ORDER)
-        for (q, x, y), coeff in plain.terms.items():
-            assert doubled.coefficient(2 * q, x, y) == coeff
 
 
 class TestSerialization:
@@ -398,6 +395,12 @@ class TestBuilders:
             build("GF_KMEASURE", 5)
         with pytest.raises(ValueError):
             build("GF_SOL_LEN", 5, k=2)
+        # a bool or a float is not a k or an m, even when it compares as 1
+        for bad in (0, True, 1.0, 1.5):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                build("GF_KMEASURE", 5, k=bad)
+            with pytest.raises(ValueError, match="m must be a positive integer"):
+                build("GF_PARITY", 5, m=bad)
 
 
 def strict_counts(order):
