@@ -7,7 +7,9 @@ walk stores its own output unchecked, because it builds each part array
 sorted and positive.  The walk keeps the parts in one preallocated array
 in which every entry past the last part greater than 1 is a 1, so it never
 writes, counts or deletes trailing 1s (Zoghbi and Stojmenovic's ZS1 step,
-which keeps the reverse-lexicographic order).
+which keeps the reverse-lexicographic order).  For strict partitions the
+walk also cuts every refill whose remaining sum the smaller distinct parts
+cannot reach.
 """
 
 from __future__ import annotations
@@ -147,8 +149,24 @@ def runs(p: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def sol(p: Partition) -> int:
-    """Number of odd-length runs of consecutive parts in a strict partition."""
-    return sum(1 for block in runs(p) if len(block) % 2)
+    """Number of odd-length runs of consecutive parts in a strict partition.
+
+    One pass over the parts, keeping only the parity of the current run;
+    a repeated part raises the same ``ValueError`` as ``runs``.
+    """
+    count = 0
+    odd_run = False  # the run so far has odd length
+    prev = 0
+    for part in p.parts:
+        if part == prev - 1:
+            odd_run = not odd_run
+        elif part == prev:
+            raise ValueError(f"runs requires distinct parts, part {part} repeats")
+        else:
+            count += odd_run
+            odd_run = True
+        prev = part
+    return count + odd_run
 
 
 def k_measure(p: Partition, k: int) -> int:
@@ -198,7 +216,11 @@ def partitions(
     reset the part x[h] = p to 1 and refill with parts up to p - 1 (p - 2
     when ``odd``).  This is Zoghbi and Stojmenovic's ZS1 step: it keeps
     the reverse-lexicographic order, which the ascending AccelAsc walk
-    would not, and takes O(1) amortized steps per unrestricted partition.
+    would not, and takes O(1) amortized steps per partition only when the
+    parts are unrestricted.  When ``distinct``, a refill that cannot reach
+    the remaining sum, because it exceeds top + (top - 1) + ... + 1 (the
+    odd terms only, ((top + 1) // 2) ** 2, when ``odd``), is a dead end
+    before any part is written.
     """
     if type(n) is not int:  # bool is an int subclass
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -230,6 +252,9 @@ def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
                     remaining = 0
                 break  # otherwise a dead end: no allowed part fits
             if distinct:
+                # distinct (odd) parts up to top sum to at most this: past it, a dead end
+                if remaining > (((top + 1) // 2) ** 2 if odd else top * (top + 1) // 2):
+                    break
                 x[m] = top
                 m += 1
                 remaining -= top

@@ -19,53 +19,57 @@ from .shapes import Border, alternating_index, dur2, modular2_diagram
 class LabeledPartition:
     """A partition whose parts carry an X or Y label.
 
+    Entries are (value, is_x) pairs, and a label must be a ``bool``.
     Canonical order: values descending, the X-labeled copy of a value before
-    its Y-labeled copies.  Validity: each X-labeled value appears X-labeled
-    exactly once, and no part of value v+1 may coexist with an X-labeled v
-    (equivalently, under the canonical order with an infinite sentinel in
-    front, an X-labeled part is preceded by something at least 2 larger).
+    its Y-labeled copies, which is descending order on the pairs themselves.
+    Validity: each X-labeled value appears X-labeled exactly once, and no
+    part of value v+1 may coexist with an X-labeled v (equivalently, under
+    the canonical order with an infinite sentinel in front, an X-labeled
+    part is preceded by something at least 2 larger).  Instances are
+    immutable, so ``size``, ``x_count`` and ``y_count`` are counted once,
+    when the entries are validated.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "size", "x_count", "y_count", "_smallest_y")
 
     entries: tuple[tuple[int, bool], ...]  # (value, is_x)
+    size: int
+    x_count: int
+    y_count: int
 
     def __init__(self, entries=()) -> None:
         normal = []
+        size = x_count = 0
         for value, is_x in entries:
             if type(value) is not int or value < 1:  # bool is an int subclass
                 raise ValueError(f"part values must be positive integers, got {value!r}")
-            normal.append((value, bool(is_x)))
-        normal.sort(key=lambda e: (-e[0], 0 if e[1] else 1))
-        self.entries = tuple(normal)
-        values = {value for value, _ in self.entries}
-        seen_x = set()
-        for value, is_x in self.entries:
+            if type(is_x) is not bool:
+                raise ValueError(f"labels must be bools, got {is_x!r}")
+            normal.append((value, is_x))
+            size += value
+            x_count += is_x
+        normal.sort(reverse=True)
+        above = None  # the value before the current entry in canonical order
+        smallest_y = None
+        for value, is_x in normal:
             if not is_x:
-                continue
-            if value in seen_x:
+                smallest_y = value
+            elif above == value:
                 raise ValueError(f"value {value} is X-labeled twice")
-            seen_x.add(value)
-            if value + 1 in values:
+            elif above == value + 1:
                 raise ValueError(
                     f"X-labeled {value} cannot coexist with a part {value + 1}"
                 )
-
-    @property
-    def size(self) -> int:
-        return sum(value for value, _ in self.entries)
+            above = value
+        self.entries = tuple(normal)
+        self.size = size
+        self.x_count = x_count
+        self.y_count = len(normal) - x_count
+        self._smallest_y = smallest_y
 
     @property
     def length(self) -> int:
         return len(self.entries)
-
-    @property
-    def x_count(self) -> int:
-        return sum(1 for _, is_x in self.entries if is_x)
-
-    @property
-    def y_count(self) -> int:
-        return sum(1 for _, is_x in self.entries if not is_x)
 
     @property
     def sign(self) -> int:
@@ -78,11 +82,8 @@ class LabeledPartition:
         return (value, True) in self.entries
 
     def smallest_y(self) -> int | None:
-        smallest = None
-        for value, is_x in self.entries:
-            if not is_x and (smallest is None or value < smallest):
-                smallest = value
-        return smallest
+        # the last Y entry in canonical order, kept by __init__
+        return self._smallest_y
 
     def add(self, value: int, is_x: bool = False) -> "LabeledPartition":
         return LabeledPartition(self.entries + ((value, is_x),))
@@ -127,7 +128,7 @@ def parse_labeled(text: str) -> LabeledPartition:
     return LabeledPartition(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPair:
     """A strict partition paired with a labeled partition.
 

@@ -289,19 +289,23 @@ def check_involution(nmax: int) -> dict:
         pairs = maps.enumerate_pairs(n)
         pair_count += len(pairs)
         signed: dict[tuple[int, int], int] = {}
+        fixed_weights: dict[tuple[int, int], int] = {}
         fixed_pairs = []
         for pair in pairs:
+            x, y, _q = weight = pair.weight
+            sign = pair.sign
             image = maps.involution_phi(pair)
             back = maps.involution_phi(image)
             if back != pair:
                 raise Counterexample(f"phi^2({pair}) = {back}")
-            if image.weight != pair.weight:
+            if image.weight != weight:
                 raise Counterexample(f"weight changed at {pair}")
             case, _, _ = maps.classify_pair(pair)
             if image == pair:
-                if case is not maps.PhiCase.FIXED or pair.sign != 1:
+                if case is not maps.PhiCase.FIXED or sign != 1:
                     raise Counterexample(f"bad fixed point {pair}")
                 fixed_pairs.append(pair)
+                fixed_weights[(x, y)] = fixed_weights.get((x, y), 0) + 1
             else:
                 icase, _, _ = maps.classify_pair(image)
                 expected = (
@@ -309,12 +313,10 @@ def check_involution(nmax: int) -> dict:
                 )
                 if icase is not expected:
                     raise Counterexample(f"case does not swap at {pair}")
-                if image.sign != -pair.sign:
+                if image.sign != -sign:
                     raise Counterexample(f"sign kept at {pair}")
-            x, y, _q = pair.weight
-            signed[(x, y)] = signed.get((x, y), 0) + pair.sign
+            signed[(x, y)] = signed.get((x, y), 0) + sign
         signed = {k: v for k, v in signed.items() if v}
-        fixed_weights = _tally(fixed_pairs, lambda pair: pair.weight[:2])
         strict_weights = _tally(partitions(n, distinct=True), lambda t: (k_measure(t, 2), t.length))
         if signed != strict_weights or fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")

@@ -134,13 +134,18 @@ class TestRunsAndSol:
         assert sol(Partition()) == 0
 
     def test_runs_rejects_repeats(self):
-        with pytest.raises(ValueError):
+        # sol does not go through runs, but names the repeat the same way
+        with pytest.raises(ValueError, match="part 7 repeats"):
             runs(parse("9+7+7+5+1+1"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="part 7 repeats"):
+            sol(parse("9+7+7+5+1+1"))
+        with pytest.raises(ValueError, match="part 3 repeats"):
+            runs(parse("3+3"))
+        with pytest.raises(ValueError, match="part 3 repeats"):
             sol(parse("3+3"))
 
     def test_runs_reassemble_and_count(self):
-        for n in range(21):
+        for n in range(31):
             for p in partitions(n, distinct=True):
                 blocks = runs(p)
                 flattened = tuple(itertools.chain.from_iterable(blocks))
@@ -305,6 +310,20 @@ class TestGenerator:
                         assert sum(parts) == n and parts[0] <= cap, parts
                         assert not distinct or len(set(parts)) == len(parts), parts
                         assert not odd or all(part % 2 for part in parts), parts
+
+    def test_strict_refill_bounds_are_tight(self):
+        # a strict refill below top is cut when remaining exceeds the sum of
+        # every allowed part up to top: t(t+1)/2, or t^2 for odd parts up to
+        # 2t - 1; at the bound exactly one partition survives, one past it none
+        for t in range(1, 12):
+            staircase = tuple(range(t, 0, -1))
+            n = t * (t + 1) // 2
+            assert [p.parts for p in partitions(n, max_part=t, distinct=True)] == [staircase]
+            assert list(partitions(n + 1, max_part=t, distinct=True)) == []
+            odd_staircase = tuple(range(2 * t - 1, 0, -2))
+            family = {"max_part": 2 * t - 1, "distinct": True, "odd": True}
+            assert [p.parts for p in partitions(t * t, **family)] == [odd_staircase]
+            assert list(partitions(t * t + 1, **family)) == []
 
     def test_reverse_lex_order(self):
         listing = [p.parts for p in partitions(6)]

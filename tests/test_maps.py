@@ -1,6 +1,7 @@
 """Bijections, the signed-pair involution, and the odd-gap decomposition."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,38 @@ class TestLabeledPartition:
             parse_labeled("4+3x")
         # fine when the gap is at least two
         LabeledPartition([(5, True), (3, True)])
+
+    @pytest.mark.parametrize("label", ["no", 0, 1])
+    def test_rejects_a_label_that_is_not_a_bool(self, label):
+        # bool("no") is True, so coercing would build 3x+1 out of bad input
+        with pytest.raises(ValueError, match=f"labels must be bools, got {label!r}"):
+            LabeledPartition([(3, label), (1, False)])
+        with pytest.raises(ValueError, match=f"labels must be bools, got {label!r}"):
+            LabeledPartition([(3, True), (1, label)])
+
+    def test_stored_counts_match_their_definitions(self):
+        for m in range(11):
+            for eta in enumerate_labeled(m):
+                labels = [is_x for _, is_x in eta.entries]
+                ys = [value for value, is_x in eta.entries if not is_x]
+                assert eta.size == sum(value for value, _ in eta.entries) == m
+                assert eta.x_count == labels.count(True)
+                assert eta.y_count == labels.count(False)
+                assert eta.smallest_y() == (min(ys) if ys else None)
+                assert all(type(n) is int for n in (eta.size, eta.x_count, eta.y_count))
+
+    def test_shuffled_entries_come_out_canonical(self):
+        rng = random.Random(17)
+        for m in range(11):
+            for eta in enumerate_labeled(m):
+                shuffled = list(eta.entries)
+                rng.shuffle(shuffled)
+                rebuilt = LabeledPartition(shuffled)
+                assert rebuilt.entries == eta.entries
+                # values descending, and within a value the X copy first
+                assert rebuilt.entries == tuple(
+                    sorted(eta.entries, key=lambda e: (-e[0], 0 if e[1] else 1))
+                )
 
     def test_sign(self):
         assert parse_labeled("3x+1x").sign == 1
