@@ -94,8 +94,7 @@ def _cmd_map(args) -> int:
         _emit(args, {"map": "glaisher", "image": str(image)}, str(image))
     elif args.name == "phi":
         pair = maps.parse_pair(args.argument)
-        case, _a, _b = maps.classify_pair(pair)
-        image = maps.involution_phi(pair)
+        case, image = maps._phi(pair)
         data = {
             "map": "phi",
             "case": case.name,

@@ -62,7 +62,7 @@ class Partition:
 
     def is_strict(self) -> bool:
         """True when no part repeats."""
-        return all(a > b for a, b in zip(self.parts, self.parts[1:]))
+        return len(set(self.parts)) == len(self.parts)
 
     def is_odd_parts(self) -> bool:
         """True when every part is odd."""

@@ -13,7 +13,7 @@ from enum import Enum
 
 from .core import Partition, parity_index, partitions, runs, sol, union
 from .report import Counterexample
-from .shapes import Border, alternating_index, dur2, modular2_diagram
+from .shapes import alternating_index, dur2
 
 
 class LabeledPartition:
@@ -198,6 +198,21 @@ def classify_pair(pair: SignedPair):
     return PhiCase.CASE2, a, b
 
 
+def _phi(pair: SignedPair) -> tuple[PhiCase, SignedPair]:
+    # the case of ``pair`` and its image under involution_phi, from one
+    # classification
+    case, a, b = classify_pair(pair)
+    if case is PhiCase.FIXED:
+        return case, pair
+    if case is PhiCase.CASE1:
+        return case, SignedPair(
+            Partition(pair.lam.parts + (b,)), pair.eta.remove(b, is_x=False)
+        )
+    remaining = list(pair.lam.parts)
+    remaining.remove(a)
+    return case, SignedPair(Partition(remaining), pair.eta.add(a, is_x=False))
+
+
 def involution_phi(pair: SignedPair) -> SignedPair:
     """Sign-reversing, weight-preserving involution on signed pairs.
 
@@ -208,16 +223,7 @@ def involution_phi(pair: SignedPair) -> SignedPair:
     the incoming Y-part cannot crowd an X-labeled a-1, by the choice of a.
     The pair constructors re-check both invariants at runtime.
     """
-    case, a, b = classify_pair(pair)
-    if case is PhiCase.FIXED:
-        return pair
-    if case is PhiCase.CASE1:
-        return SignedPair(
-            Partition(pair.lam.parts + (b,)), pair.eta.remove(b, is_x=False)
-        )
-    remaining = list(pair.lam.parts)
-    remaining.remove(a)
-    return SignedPair(Partition(remaining), pair.eta.add(a, is_x=False))
+    return _phi(pair)[1]
 
 
 def fixed_to_strict(pair: SignedPair) -> Partition:
@@ -272,15 +278,19 @@ def enumerate_labeled(n: int) -> list[LabeledPartition]:
     return found
 
 
+def _pairs(n: int, labeled: list[list[LabeledPartition]]):
+    # the signed pairs of total size n in enumerate_pairs' order, where
+    # labeled[m] lists the labeled partitions of m for every m <= n
+    for lam_size in range(n + 1):
+        etas = labeled[n - lam_size]
+        for lam in partitions(lam_size, distinct=True):
+            for eta in etas:
+                yield SignedPair(lam, eta)
+
+
 def enumerate_pairs(n: int) -> list[SignedPair]:
     """All signed pairs of total size ``n``."""
-    pairs: list[SignedPair] = []
-    for lam_size in range(n + 1):
-        labeled = enumerate_labeled(n - lam_size)
-        for lam in partitions(lam_size, distinct=True):
-            for eta in labeled:
-                pairs.append(SignedPair(lam, eta))
-    return pairs
+    return list(_pairs(n, [enumerate_labeled(m) for m in range(n + 1)]))
 
 
 def _pair_sort_key(pair: SignedPair):
@@ -306,18 +316,23 @@ def involution_table(n: int) -> str:
 
 
 def _hook_lengths(p: Partition) -> list[int]:
-    # raw (l1, l2, l1, l2, ...) hook readings, trailing zero kept
-    diagram = modular2_diagram(p, Border.RIGHT_BORDER)
-    rows = diagram.rows
+    # raw (l1, l2, l1, l2, ...) hook readings, trailing zero kept, from the
+    # row widths w of the right-border 2-modular diagram and its Durfee side
+    # k: hook i has w_i - i + 1 cells in row i and one in every lower row
+    # reaching column i; its 1-cells are the one in column k of row i and
+    # the last cell of each row below the square that ends in column i
+    widths = []
+    for part in p.parts:
+        if part % 2 == 0:
+            raise ValueError(f"right-border drawing needs odd parts, got {part}")
+        widths.append((part + 1) // 2)
+    k = dur2(p)
+    below = widths[k:]
     out: list[int] = []
-    for i in range(1, dur2(p) + 1):
-        cells = list(rows[i - 1][i - 1:])
-        for lower in rows[i:]:
-            if len(lower) < i:
-                break
-            cells.append(lower[i - 1])
-        out.append(len(cells))
-        out.append(sum(1 for cell in cells if cell == 2))
+    for i in range(1, k + 1):
+        cells = widths[i - 1] - i + 1 + sum(1 for w in widths[i:] if w >= i)
+        out.append(cells)
+        out.append(cells - 1 - below.count(i))
     return out
 
 
@@ -335,10 +350,12 @@ def _hook_image(p: Partition, hooks: list[int]) -> Partition:
 def sylvester(p: Partition) -> Partition:
     """Sylvester's hook bijection from odd partitions to strict partitions.
 
-    Reads the 2-modular diagram in the right-border drawing; hook i starts
-    at diagonal cell (i, i), runs right along row i and down column i.  The
-    image lists each hook's cell count followed by its count of 2-cells,
-    dropping a trailing zero.
+    Hooks of the 2-modular diagram in the right-border drawing: hook i
+    starts at diagonal cell (i, i), runs right along row i and down column
+    i.  The image lists each hook's cell count followed by its count of
+    2-cells, dropping a trailing zero.  Both counts are read from the row
+    widths (p_i + 1) / 2 and the 2-modular Durfee side; no diagram is
+    built.
     """
     if not p:
         return Partition()

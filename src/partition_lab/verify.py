@@ -283,31 +283,34 @@ def check_sylvester(nmax: int) -> dict:
 def check_involution(nmax: int) -> dict:
     """Involution on signed pairs: involutive, weight-preserving,
     sign-reversing off fixed points, cases swapping, and the fixed-point
-    weights matching strict partitions by 2-measure and length."""
+    weights matching strict partitions by 2-measure and length.
+
+    The pairs of each total size are streamed, not listed, from one
+    ``enumerate_labeled`` list per size.  Each pair and its image are
+    classified once, and the two cases serve every check."""
     pair_count = 0
+    labeled: list[list[maps.LabeledPartition]] = []
     for n in range(nmax + 1):
-        pairs = maps.enumerate_pairs(n)
-        pair_count += len(pairs)
+        labeled.append(maps.enumerate_labeled(n))
         signed: dict[tuple[int, int], int] = {}
         fixed_weights: dict[tuple[int, int], int] = {}
         fixed_pairs = []
-        for pair in pairs:
+        for pair in maps._pairs(n, labeled):
+            pair_count += 1
             x, y, _q = weight = pair.weight
             sign = pair.sign
-            image = maps.involution_phi(pair)
-            back = maps.involution_phi(image)
+            case, image = maps._phi(pair)
+            icase, back = maps._phi(image)
             if back != pair:
                 raise Counterexample(f"phi^2({pair}) = {back}")
             if image.weight != weight:
                 raise Counterexample(f"weight changed at {pair}")
-            case, _, _ = maps.classify_pair(pair)
             if image == pair:
                 if case is not maps.PhiCase.FIXED or sign != 1:
                     raise Counterexample(f"bad fixed point {pair}")
                 fixed_pairs.append(pair)
                 fixed_weights[(x, y)] = fixed_weights.get((x, y), 0) + 1
             else:
-                icase, _, _ = maps.classify_pair(image)
                 expected = (
                     maps.PhiCase.CASE2 if case is maps.PhiCase.CASE1 else maps.PhiCase.CASE1
                 )

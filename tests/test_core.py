@@ -72,6 +72,9 @@ class TestPartitionType:
         assert not p.is_strict()
         assert p.is_odd_parts()
         assert Partition().is_strict() and Partition().is_odd_parts()
+        # the parts are stored sorted, so input order cannot hide a repeat
+        assert not Partition([2, 5, 2]).is_strict()
+        assert Partition([1, 3, 2]).is_strict()
 
     def test_constructor_sorts_and_rejects(self):
         assert Partition([1, 3, 2]).parts == (3, 2, 1)

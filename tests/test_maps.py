@@ -31,12 +31,29 @@ from partition_lab.maps import (
     sylvester_stats_check,
 )
 from partition_lab.report import Counterexample
+from partition_lab.shapes import Border, dur2, modular2_diagram
 
 DATA = Path(__file__).parent / "data"
 
 
 def odd_partitions(n):
     return [p for p in partitions(n) if p.is_odd_parts()]
+
+
+def diagram_hook_lengths(p):
+    # oracle: the raw (l1, l2, l1, l2, ...) hook readings off the drawn
+    # right-border 2-modular diagram, trailing zero kept
+    rows = modular2_diagram(p, Border.RIGHT_BORDER).rows
+    out = []
+    for i in range(1, dur2(p) + 1):
+        cells = list(rows[i - 1][i - 1:])
+        for lower in rows[i:]:
+            if len(lower) < i:
+                break
+            cells.append(lower[i - 1])
+        out.append(len(cells))
+        out.append(sum(1 for cell in cells if cell == 2))
+    return out
 
 
 class TestLabeledPartition:
@@ -226,6 +243,28 @@ class TestEnumeration:
         pairs = enumerate_pairs(6)
         assert len(pairs) == 2 * 43 + 4
 
+    def test_checker_classifies_and_enumerates_once(self, monkeypatch):
+        # one enumerate_labeled call per total size, and one classification
+        # per pair and per image, plus the one fixed_to_strict makes at a
+        # fixed point (there is one fixed pair per strict partition)
+        calls = {"labeled": 0, "classify": 0}
+        real_labeled, real_classify = maps.enumerate_labeled, maps.classify_pair
+
+        def labeled(m):
+            calls["labeled"] += 1
+            return real_labeled(m)
+
+        def classify(pair):
+            calls["classify"] += 1
+            return real_classify(pair)
+
+        monkeypatch.setattr(maps, "enumerate_labeled", labeled)
+        monkeypatch.setattr(maps, "classify_pair", classify)
+        pairs = verify.check_involution(8)["pairs"]
+        fixed = sum(1 for n in range(9) for _ in partitions(n, distinct=True))
+        assert calls["labeled"] == 9
+        assert calls["classify"] <= 2 * pairs + fixed
+
 
 class TestSylvester:
     def test_image_example(self):
@@ -309,6 +348,20 @@ class TestSylvester:
             images = [sylvester(p) for p in odd_partitions(n)]
             assert len(set(images)) == len(images)
             assert set(images) == set(partitions(n, distinct=True))
+
+    def test_hook_lengths_match_the_drawn_diagram(self):
+        checked = 0
+        for n in range(1, 31):
+            for p in partitions(n, odd=True):
+                assert maps._hook_lengths(p) == diagram_hook_lengths(p), p
+                checked += 1
+        assert checked == 2034  # nonempty odd partitions of n <= 30
+        for text in ("4+1", "5+2+1", "3+3+2"):
+            with pytest.raises(ValueError) as widths:
+                maps._hook_lengths(parse(text))
+            with pytest.raises(ValueError) as drawn:
+                diagram_hook_lengths(parse(text))
+            assert str(widths.value) == str(drawn.value)
 
 
 class TestGlaisher:
