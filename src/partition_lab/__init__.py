@@ -32,7 +32,6 @@ from .maps import (
     parse_pair,
     strict_to_fixed,
     sylvester,
-    sylvester_stats_check,
 )
 from .qseries import (
     LaurentPoly,

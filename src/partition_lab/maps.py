@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Partition, parity_index, partitions, runs, sol, union
+from .core import Partition, parity_index, parse, partitions, runs, sol, union
 from .report import Counterexample
 from .shapes import alternating_index, dur2
 
@@ -85,12 +85,14 @@ class LabeledPartition:
         # the last Y entry in canonical order, kept by __init__
         return self._smallest_y
 
-    def add(self, value: int, is_x: bool = False) -> "LabeledPartition":
-        return LabeledPartition(self.entries + ((value, is_x),))
+    def add(self, value: int) -> "LabeledPartition":
+        """This partition with one more Y-labeled part ``value``."""
+        return LabeledPartition(self.entries + ((value, False),))
 
-    def remove(self, value: int, is_x: bool) -> "LabeledPartition":
+    def remove(self, value: int) -> "LabeledPartition":
+        """This partition with one Y-labeled part ``value`` fewer."""
         entries = list(self.entries)
-        entries.remove((value, is_x))
+        entries.remove((value, False))
         return LabeledPartition(entries)
 
     def __eq__(self, other: object) -> bool:
@@ -162,12 +164,10 @@ class SignedPair:
 
 def parse_pair(text: str) -> SignedPair:
     """Parse a ``<strict>|<labeled>`` pair literal."""
-    from .core import parse as parse_partition
-
     if "|" not in text:
         raise ValueError(f"pair literal needs a '|' separator: {text!r}")
     left, right = text.split("|", 1)
-    return SignedPair(parse_partition(left), parse_labeled(right))
+    return SignedPair(parse(left), parse_labeled(right))
 
 
 class PhiCase(Enum):
@@ -205,12 +205,10 @@ def _phi(pair: SignedPair) -> tuple[PhiCase, SignedPair]:
     if case is PhiCase.FIXED:
         return case, pair
     if case is PhiCase.CASE1:
-        return case, SignedPair(
-            Partition(pair.lam.parts + (b,)), pair.eta.remove(b, is_x=False)
-        )
+        return case, SignedPair(Partition(pair.lam.parts + (b,)), pair.eta.remove(b))
     remaining = list(pair.lam.parts)
     remaining.remove(a)
-    return case, SignedPair(Partition(remaining), pair.eta.add(a, is_x=False))
+    return case, SignedPair(Partition(remaining), pair.eta.add(a))
 
 
 def involution_phi(pair: SignedPair) -> SignedPair:
@@ -362,21 +360,13 @@ def sylvester(p: Partition) -> Partition:
     return _hook_image(p, _hook_lengths(p))
 
 
-def sylvester_stats_check(p: Partition) -> dict:
-    """Check the statistics Sylvester's map transports on one odd partition.
-
-    Durfee side against half the image length, the alternating index
-    against the image's odd-run count, and the three hook-length relations
-    tying consecutive readings to part multiplicities and gaps.  Returns
-    an empty count, or raises ``Counterexample`` naming ``p`` and every
-    relation that fails.  An image that is not a strict partition of the
-    same size raises ``RuntimeError`` when it is built.
-    """
-    return _transported_stats(p, sylvester(p))
-
-
 def _transported_stats(p: Partition, image: Partition) -> dict:
-    # the checks of sylvester_stats_check on p and its image sylvester(p)
+    # the statistics Sylvester's map transports from the odd partition p to
+    # its image sylvester(p): Durfee side against half the image length,
+    # the alternating index against the image's odd-run count, and the
+    # three hook-length relations tying consecutive readings to part
+    # multiplicities and gaps.  Returns an empty count, or raises
+    # Counterexample naming p and every relation that fails.
     if not p:
         return {}
     # the hook readings: the image's parts, with the trailing zero that

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .report import Counterexample, compare_series
+from .report import compare_series
 
 Key = tuple[int, int, int]  # (q-exponent, x-exponent, y-exponent)
 
@@ -193,9 +193,6 @@ class MultiSeries:
 
     # -- inspection ----------------------------------------------------------
 
-    def coefficient(self, q: int, x: int = 0, y: int = 0) -> int:
-        return self.terms.get((q, x, y), 0)
-
     def map_exponents(self, fn) -> "MultiSeries":
         """Rebuild the series sending each exponent triple through ``fn``."""
         out: dict[Key, int] = {}
@@ -203,17 +200,6 @@ class MultiSeries:
             new = fn(*key)
             out[new] = out.get(new, 0) + coeff
         return MultiSeries(self.order, out)
-
-    def first_discrepancy(self, other: "MultiSeries"):
-        """Smallest (q, x, y) where coefficients differ, or None if equal."""
-        self._require_compatible(other)
-        keys = set(self.terms) | set(other.terms)
-        for key in sorted(keys):
-            a = self.terms.get(key, 0)
-            b = other.terms.get(key, 0)
-            if a != b:
-                return key, a, b
-        return None
 
     def serialize(self) -> str:
         """One term per line ``q^c x^a y^b : coeff``, sorted by (c, a, b)."""
@@ -545,18 +531,10 @@ def check_qbinom(a: Monomial, order: int) -> dict:
     return {"terms": compare_series(lhs, rhs)}
 
 
-def _compare_laurent(built: LaurentPoly, expected: LaurentPoly) -> None:
-    """Raise ``Counterexample`` at the smallest (q, x) where the sides
-    differ, as ``q^c x^a: built A, expected B``."""
-    for q, x in sorted(built.terms.keys() | expected.terms.keys()):
-        a, b = built.terms.get((q, x), 0), expected.terms.get((q, x), 0)
-        if a != b:
-            raise Counterexample(f"q^{q} x^{x}: built {a}, expected {b}")
-
-
 def check_xq2_expansion(n: int) -> dict:
     """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials;
-    raises ``Counterexample`` at the smallest (q, x) where the sides differ."""
+    ``compare_series`` raises ``Counterexample`` at the smallest (q, x)
+    where the sides differ."""
     lhs = LaurentPoly.poch(1, 0, 2, n, x=1)
     rhs = LaurentPoly.zero()
     for i in range(n + 1):
@@ -566,7 +544,7 @@ def check_xq2_expansion(n: int) -> dict:
             {(2 * exp, 0): coeff for exp, coeff in _gauss_coeffs(n, i).items()}
         )
         rhs = rhs + head * binom
-    _compare_laurent(lhs, rhs)
+    compare_series(lhs, rhs)
     return {}
 
 
@@ -576,8 +554,8 @@ def check_qchu(i: int, j: int) -> dict:
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
     (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].
-    Returns whether both sides vanish, or raises ``Counterexample`` at the
-    smallest (q, x) where they differ.
+    Returns whether both sides vanish; ``compare_series`` raises
+    ``Counterexample`` at the smallest (q, x) where they differ.
     """
     lhs = LaurentPoly.zero()
     for n in range(j + 1):
@@ -594,5 +572,5 @@ def check_qchu(i: int, j: int) -> dict:
         * LaurentPoly.poch(1, -i, 1, j)
         * LaurentPoly.poch(1, 1, 1, j)
     )
-    _compare_laurent(lhs, rhs)
+    compare_series(lhs, rhs)
     return {"vanishes": int(lhs.is_zero())}

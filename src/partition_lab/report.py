@@ -72,9 +72,15 @@ class VerificationReport:
 def compare_series(built, expected, where: str = "") -> int:
     """How many terms ``built`` has, once it equals ``expected``
     coefficientwise; otherwise a Counterexample at their first difference,
-    the smallest (q, x, y), as ``where`` + ``q^c x^a y^b: built A, expected B``."""
-    gap = built.first_discrepancy(expected)
-    if gap is not None:
-        (q, x, y), a, b = gap
-        raise Counterexample(f"{where}q^{q} x^{x} y^{y}: built {a}, expected {b}")
+    the smallest key, as ``where`` + ``q^c x^a y^b: built A, expected B``
+    for a ``MultiSeries`` and ``q^c x^a: ...`` for a ``LaurentPoly``.
+    Sides of different truncation orders raise ``ValueError``; a
+    ``LaurentPoly`` has none, so it never compares with a ``MultiSeries``."""
+    if getattr(built, "order", None) != getattr(expected, "order", None):
+        raise ValueError("series truncation orders differ")
+    for key in sorted(built.terms.keys() | expected.terms.keys()):
+        a, b = built.terms.get(key, 0), expected.terms.get(key, 0)
+        if a != b:
+            named = " ".join(f"{var}^{exp}" for var, exp in zip("qxy", key))
+            raise Counterexample(f"{where}{named}: built {a}, expected {b}")
     return len(built.terms)

@@ -11,10 +11,11 @@ coefficientwise.  Each ``check_*`` returns what it counted, or raises
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import maps, qseries
-from .core import Partition, k_measure, parity_index, partitions, sol
+from .core import Partition, k_measure, parity_index, parse, partitions, sol
 from .qseries import Monomial, MultiSeries
 from .report import Counterexample, VerificationReport, compare_series
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
@@ -38,31 +39,21 @@ def enumerate_family(spec: FamilySpec):
 # -- cell tallies -----------------------------------------------------------------
 
 
-def _tally(family, key) -> dict:
-    """How many partitions in ``family`` take each value of ``key(p)``."""
-    counts: dict = {}
-    for p in family:
-        value = key(p)
-        counts[value] = counts.get(value, 0) + 1
-    return counts
-
-
 def _strict_cells(n: int) -> dict:
     """Strict partitions of n by (length, odd-run count): the D cells."""
-    return _tally(partitions(n, distinct=True), lambda p: (p.length, sol(p)))
+    return Counter((p.length, sol(p)) for p in partitions(n, distinct=True))
 
 
 def _durfee_cells(n: int) -> dict:
     """Nonempty odd partitions of n by (2-modular Durfee side, type,
     sub-Durfee side): the A cells.  The empty partition has no sub-side."""
-    nonempty = (p for p in partitions(n, odd=True) if p)
-    return _tally(nonempty, lambda p: (dur2(p), *dur2_sub(p)))
+    return Counter((dur2(p), *dur2_sub(p)) for p in partitions(n, odd=True) if p)
 
 
 def _alt_cells(n: int) -> dict:
     """Odd partitions of n by (2-modular Durfee side, alternating index):
     the B cells."""
-    return _tally(partitions(n, odd=True), lambda p: (dur2(p), alternating_index(p)))
+    return Counter((dur2(p), alternating_index(p)) for p in partitions(n, odd=True))
 
 
 def count_D(n: int, k: int, m: int) -> int:
@@ -87,7 +78,7 @@ def _enumeration_series(order, key, **family) -> MultiSeries:
     where ``key(p)`` gives the exponents (a, b)."""
     terms: dict[tuple[int, int, int], int] = {}
     for n in range(order + 1):
-        for (a, b), count in _tally(partitions(n, **family), key).items():
+        for (a, b), count in Counter(map(key, partitions(n, **family))).items():
             terms[(n, a, b)] = count
     return MultiSeries(order, terms)
 
@@ -215,8 +206,8 @@ def check_corollary(nmax: int) -> dict:
     """
 
     def cells(n):
-        strict_by_len = _tally(partitions(n, distinct=True), lambda p: p.length)
-        odd = _tally(partitions(n, odd=True), lambda p: (dur2(p), dur2_sub(p)[0]))
+        strict_by_len = Counter(p.length for p in partitions(n, distinct=True))
+        odd = Counter((dur2(p), dur2_sub(p)[0]) for p in partitions(n, odd=True))
         for j in range(1, n + 1):
             yield (
                 f"j={j} type I vs 2j parts",
@@ -320,7 +311,7 @@ def check_involution(nmax: int) -> dict:
                     raise Counterexample(f"sign kept at {pair}")
             signed[(x, y)] = signed.get((x, y), 0) + sign
         signed = {k: v for k, v in signed.items() if v}
-        strict_weights = _tally(partitions(n, distinct=True), lambda t: (k_measure(t, 2), t.length))
+        strict_weights = Counter((k_measure(t, 2), t.length) for t in partitions(n, distinct=True))
         if signed != strict_weights or fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")
         recovered = {maps.strict_to_fixed(t) for t in partitions(n, distinct=True)}
@@ -344,7 +335,8 @@ def check_lemma51(mmax: int, order: int) -> dict:
         terms: dict[tuple[int, int, int], int] = {}
         for n in range(m, order + 1):
             rests = partitions(n - m, max_part=m)  # every part but one largest m
-            for index, count in _tally(rests, lambda rest: parity_index(rest.parts[::-1] + (m,))).items():
+            indices = Counter(parity_index(rest.parts[::-1] + (m,)) for rest in rests)
+            for index, count in indices.items():
                 terms[(n, index, 0)] = count
         compared += compare_series(built, MultiSeries(order, terms), f"m={m} ")
     round_trips = 0
@@ -457,8 +449,6 @@ def example_sets(preset: str) -> dict[str, list[Partition]]:
     "16-4-2" carries the type I family at Durfee side 2, sub-side 1; "15-3-1"
     the type II family at Durfee side 2, sub-side 0.
     """
-    from .core import parse
-
     try:
         raw = _EXAMPLE_SETS[preset]
     except KeyError:

@@ -28,7 +28,6 @@ from partition_lab.maps import (
     parse_pair,
     strict_to_fixed,
     sylvester,
-    sylvester_stats_check,
 )
 from partition_lab.report import Counterexample
 from partition_lab.shapes import Border, dur2, modular2_diagram
@@ -305,7 +304,8 @@ class TestSylvester:
         calls = []
         real = maps._hook_lengths
         monkeypatch.setattr(maps, "_hook_lengths", lambda p: calls.append(p) or real(p))
-        assert sylvester_stats_check(parse("9+7+7+5+1+1")) == {}
+        p = parse("9+7+7+5+1+1")
+        assert maps._transported_stats(p, sylvester(p)) == {}
         assert len(calls) == 1
 
     def test_checker_reads_hooks_once_per_partition(self, monkeypatch):
@@ -335,13 +335,11 @@ class TestSylvester:
     def test_stats_check_raises_on_size_change(self, monkeypatch):
         monkeypatch.setattr(maps, "_hook_lengths", lambda p: [4, 0])
         with pytest.raises(RuntimeError):
-            sylvester_stats_check(parse("1"))
+            maps._transported_stats(parse("1"), sylvester(parse("1")))
 
     def test_stats_check_examples(self):
-        assert sylvester_stats_check(parse("9+7+7+5+1+1")) == {}
-        assert sylvester_stats_check(parse("1")) == {}
-        for p in odd_partitions(15):
-            assert sylvester_stats_check(p) == {}, p
+        for p in [parse("9+7+7+5+1+1"), parse("1"), *odd_partitions(15)]:
+            assert maps._transported_stats(p, sylvester(p)) == {}, p
 
     def test_bijection_small_sizes(self):
         for n in range(19):

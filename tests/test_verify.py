@@ -391,6 +391,29 @@ class TestReports:
             compare_series(built, expected, "k=2 ")
         assert compare_series(built, built) == 3
 
+    def test_compare_series_rejects_different_orders(self):
+        with pytest.raises(ValueError, match="series truncation orders differ"):
+            compare_series(MultiSeries.one(3), MultiSeries.one(4))
+
+    def test_compare_series_rejects_mixed_types(self):
+        # a LaurentPoly is not truncated, so it has no order to match a
+        # MultiSeries; keys of different lengths would name no coefficient
+        with pytest.raises(ValueError, match="series truncation orders differ"):
+            compare_series(MultiSeries.one(3), LaurentPoly.one())
+        with pytest.raises(ValueError, match="series truncation orders differ"):
+            compare_series(LaurentPoly.one(), MultiSeries.one(3))
+
+    def test_compare_series_names_a_laurent_difference(self):
+        # q^0 x^2 is only on the expected side and sorts before q^1 x^2
+        built = LaurentPoly({(-2, 1): 3, (0, 0): 1, (1, 2): 4})
+        expected = LaurentPoly({(-2, 1): 3, (0, 0): 1, (0, 2): -4, (1, 2): 5})
+        with pytest.raises(Counterexample) as caught:
+            compare_series(built, expected)
+        assert str(caught.value) == "q^0 x^2: built 0, expected -4"
+        with pytest.raises(Counterexample, match=r"^QCHU i=0 j=1 q\^0 x\^2: built 0"):
+            compare_series(built, expected, "QCHU i=0 j=1 ")
+        assert compare_series(built, built) == 3
+
     def test_package_exports_the_verify_counterexample(self):
         from partition_lab import verify as verify_module
 
@@ -430,32 +453,29 @@ class TestTrustedConstruction:
 
 
 class TestExports:
-    # exports that no other module of the package reads, each with why it stays
+    # definitions that no module of the package reads, each with why it stays
     UNCALLED = {
         "count_A": "the paper's A notation, read by the published-cell tests",
         "count_B": "the paper's B notation, read by the published-cell tests",
         "count_D": "the paper's D notation, read by the published-cell tests",
         "enumerate_family": "the benchmark binds it and reports verify.enumerate_family.yielded",
-        "sylvester_stats_check": "goes with the Sylvester refinement checks, which change it",
+        "invert": "the reference for binomial division; the benchmark binds it",
     }
 
     def test_every_export_has_a_library_caller(self):
-        # a name the package exports but none of its modules reads is surface
-        # that only the tests use; a definition or an import is not a read
+        # a function, class or method (exported or not, dunders aside) that
+        # the package defines but none of its modules reads is surface that
+        # only the tests use; a definition or an import is not a read
         package = Path(partition_lab.__file__).parent
-        exported = {
-            alias.asname or alias.name
-            for node in ast.parse((package / "__init__.py").read_text()).body
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        }
-        read = {
-            getattr(node, "id", None) or getattr(node, "attr", None)
-            for path in package.glob("*.py")
-            if path.name != "__init__.py"
-            for node in ast.walk(ast.parse(path.read_text()))
-        }
-        assert sorted(exported - read) == sorted(self.UNCALLED)
+        defined, read = set(), set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if not node.name.startswith("__"):
+                        defined.add(node.name)
+                elif path.name != "__init__.py":
+                    read.add(getattr(node, "id", None) or getattr(node, "attr", None))
+        assert sorted(defined - read) == sorted(self.UNCALLED)
 
 
 class TestExampleSets:
