@@ -1,9 +1,10 @@
 """Exhaustive partition-family enumeration and one checker per identity.
 
 Every check is exact: families are walked by ``core.partitions`` and
-tallied by statistic, the A, B and D cells of the two bivariate
-refinements are counted by one tally each, and series are compared
-coefficientwise.  Each ``check_*`` returns what it counted, or raises
+tallied by statistic, and series are compared coefficientwise.  THM12,
+THM13 and COROLLARY tally odd partitions by the strict cell their Durfee
+statistics name, strict partitions by that cell's statistics, and compare
+the two.  Each ``check_*`` returns what it counted, or raises
 ``Counterexample`` at the first failure; ``verify`` turns either into a
 ``VerificationReport`` under the checker's name and bounds.
 """
@@ -36,41 +37,27 @@ def enumerate_family(spec: FamilySpec):
     return partitions(spec.n, distinct=spec.strict, odd=spec.odd_parts)
 
 
-# -- cell tallies -----------------------------------------------------------------
-
-
-def _strict_cells(n: int) -> dict:
-    """Strict partitions of n by (length, odd-run count): the D cells."""
-    return Counter((p.length, sol(p)) for p in partitions(n, distinct=True))
-
-
-def _durfee_cells(n: int) -> dict:
-    """Nonempty odd partitions of n by (2-modular Durfee side, type,
-    sub-Durfee side): the A cells.  The empty partition has no sub-side."""
-    return Counter((dur2(p), *dur2_sub(p)) for p in partitions(n, odd=True) if p)
-
-
-def _alt_cells(n: int) -> dict:
-    """Odd partitions of n by (2-modular Durfee side, alternating index):
-    the B cells."""
-    return Counter((dur2(p), alternating_index(p)) for p in partitions(n, odd=True))
+# -- cell counts ------------------------------------------------------------------
 
 
 def count_D(n: int, k: int, m: int) -> int:
     """Strict partitions of n with k parts and m odd-length runs."""
-    return _strict_cells(n).get((k, m), 0)
+    return sum(1 for p in partitions(n, distinct=True) if p.length == k and sol(p) == m)
 
 
 def count_A(n: int, k: int, m: int, kind: DurfeeType) -> int:
-    """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m."""
+    """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m.
+    The empty partition has no sub-side, so it is in no cell."""
     if not isinstance(kind, DurfeeType):
         raise ValueError(f"kind must be a DurfeeType, got {kind!r}")
-    return _durfee_cells(n).get((k, kind, m), 0)
+    return sum(
+        1 for p in partitions(n, odd=True) if p and dur2(p) == k and dur2_sub(p) == (kind, m)
+    )
 
 
 def count_B(n: int, k: int, m: int) -> int:
     """Odd partitions of n with 2-modular Durfee side k, alternating index m."""
-    return _alt_cells(n).get((k, m), 0)
+    return sum(1 for p in partitions(n, odd=True) if dur2(p) == k and alternating_index(p) == m)
 
 
 def _enumeration_series(order, key, **family) -> MultiSeries:
@@ -131,96 +118,69 @@ def check_eq_2measure_p(order: int) -> dict:
     return {"terms": compare_series(built, expected)}
 
 
-def _check_cells(name: str, nmax: int, cells) -> dict:
-    """Compare count cells for every n in 1..nmax, up to the first mismatch.
-
-    ``cells(n)`` tallies the partitions of n it needs and yields one
-    (label, left, right) triple per cell, to be equal.
-    """
+def _check_cells(name: str, nmax: int, odd_key, strict_key) -> dict:
+    """Odd partitions tallied by ``odd_key`` against strict partitions
+    tallied by ``strict_key``, for every n in 1..nmax, over the cells either
+    side holds, up to the first cell where the counts differ."""
     if nmax < 1:
         raise ValueError(f"{name} needs nmax >= 1; sizes up to {nmax} hold no cell")
     checked = 0
     for n in range(1, nmax + 1):
-        for label, left, right in cells(n):
+        odd = Counter(map(odd_key, partitions(n, odd=True)))
+        strict = Counter(map(strict_key, partitions(n, distinct=True)))
+        for cell in sorted(odd.keys() | strict.keys()):
             checked += 1
-            if left != right:
-                raise Counterexample(f"n={n} {label}: {left} != {right}")
+            a, b = odd[cell], strict[cell]
+            if a != b:
+                raise Counterexample(f"n={n} cell {cell}: odd {a} != strict {b}")
     return {"cells": checked}
 
 
 def check_thm12(nmax: int) -> dict:
     """Type I/II Durfee-square counts against strict-partition counts.
 
-    For every cell: type I at (k, m) matches strict partitions with 2k parts
-    and 2m odd runs; type II at (k, m) matches 2k-1 parts and 2m+1 odd runs.
-    The (k, m) grid is derived from n so no cell is skipped.
+    Odd partitions are tallied by their strict-side cell: type I at Durfee
+    side k, sub-side m goes to (2k, 2m), type II to (2k-1, 2m+1).  Strict
+    partitions are tallied by (parts, odd runs).
     """
 
-    def cells(n):
-        strict, odd = _strict_cells(n), _durfee_cells(n)
-        for k in range(1, n + 1):
-            for m in range(0, k + 1):
-                yield (
-                    f"type I k={k} m={m}",
-                    odd.get((k, DurfeeType.TYPE_I, m), 0),
-                    strict.get((2 * k, 2 * m), 0),
-                )
-                yield (
-                    f"type II k={k} m={m}",
-                    odd.get((k, DurfeeType.TYPE_II, m), 0),
-                    strict.get((2 * k - 1, 2 * m + 1), 0),
-                )
+    def odd_key(p):
+        kind, m = dur2_sub(p)
+        type_ii = kind is DurfeeType.TYPE_II
+        return 2 * dur2(p) - type_ii, 2 * m + type_ii
 
-    return _check_cells("THM12", nmax, cells)
+    return _check_cells("THM12", nmax, odd_key, lambda p: (p.length, sol(p)))
 
 
 def check_thm13(nmax: int) -> dict:
     """Alternating-index counts against strict-partition counts.
 
-    A strict partition with k parts and m odd runs forces k and m to share
-    parity, so each (k, m) cell of matching parity is compared with the
-    alternating-index count at Durfee side ceil(k/2); mismatched-parity
-    cells are asserted empty on the strict side.
+    Odd partitions with Durfee side k and alternating index m are tallied
+    at (2k - m % 2, m), strict partitions by (parts, odd runs).  A strict
+    partition's parts and odd runs share parity, so a strict cell of mixed
+    parity has no odd preimage and fails against 0.
     """
 
-    def cells(n):
-        strict, alt_counts = _strict_cells(n), _alt_cells(n)
-        for k in range(1, n + 1):
-            for m in range(0, k + 1):
-                d = strict.get((k, m), 0)
-                if (k - m) % 2:
-                    yield f"k={k} m={m} parity mismatch, D vs 0", d, 0
-                else:
-                    yield f"k={k} m={m} B vs D", alt_counts.get(((k + 1) // 2, m), 0), d
+    def odd_key(p):
+        m = alternating_index(p)
+        return 2 * dur2(p) - m % 2, m
 
-    return _check_cells("THM13", nmax, cells)
+    return _check_cells("THM13", nmax, odd_key, lambda p: (p.length, sol(p)))
 
 
 def check_corollary(nmax: int) -> dict:
     """Euler refinement through the 2-modular Durfee side.
 
-    Checked in the form the theorems actually sum to: strict partitions with
-    2j (resp. 2j-1) parts match odd partitions of type I (resp. type II)
-    with Durfee side j, hence strict partitions with 2j-1 or 2j parts match
-    odd partitions with Durfee side j.
+    Checked in the form the theorems actually sum to: odd partitions with
+    Durfee side j are tallied at 2j parts if of type I and 2j-1 if of type
+    II, strict partitions by their number of parts; hence strict partitions
+    with 2j-1 or 2j parts match odd partitions with Durfee side j.
     """
 
-    def cells(n):
-        strict_by_len = Counter(p.length for p in partitions(n, distinct=True))
-        odd = Counter((dur2(p), dur2_sub(p)[0]) for p in partitions(n, odd=True))
-        for j in range(1, n + 1):
-            yield (
-                f"j={j} type I vs 2j parts",
-                odd.get((j, DurfeeType.TYPE_I), 0),
-                strict_by_len.get(2 * j, 0),
-            )
-            yield (
-                f"j={j} type II vs 2j-1 parts",
-                odd.get((j, DurfeeType.TYPE_II), 0),
-                strict_by_len.get(2 * j - 1, 0),
-            )
+    def odd_key(p):
+        return 2 * dur2(p) - (dur2_sub(p)[0] is DurfeeType.TYPE_II)
 
-    return _check_cells("COROLLARY", nmax, cells)
+    return _check_cells("COROLLARY", nmax, odd_key, lambda p: p.length)
 
 
 def _check_against_sol_len(order, built, enumerated, reindex) -> dict:

@@ -9,13 +9,14 @@ import pytest
 
 import partition_lab
 from partition_lab import maps, qseries
-from partition_lab.core import parse, partitions, sol
+from partition_lab.core import parse, partitions, runs, sol
 from partition_lab.qseries import LaurentPoly, MultiSeries
 from partition_lab.report import Counterexample, VerificationReport, compare_series
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
 from partition_lab.verify import (
     CHECKERS,
     FamilySpec,
+    _check_cells,
     count_A,
     count_B,
     count_D,
@@ -170,7 +171,7 @@ class TestCheckers:
                 "EQ31 order<=5 FAIL",
                 "k=1 q^1 x^0 y^1: built 0, expected 1",
             ),
-            ("sol", "THM12", {"nmax": 3}, "THM12 n<=3 FAIL", "n=1 type II k=1 m=0: 1 != 0"),
+            ("sol", "THM12", {"nmax": 3}, "THM12 n<=3 FAIL", "n=1 cell (1, 0): odd 0 != strict 1"),
             (
                 "dur2",
                 "GF4",
@@ -205,7 +206,7 @@ class TestCheckers:
                 "THM13",
                 {"nmax": 3},
                 "THM13 n<=3 FAIL",
-                "n=1 k=1 m=1 B vs D: 0 != 1",
+                "n=1 cell (1, 1): odd 0 != strict 1",
             ),
             (
                 "alternating_index",
@@ -219,7 +220,7 @@ class TestCheckers:
                 "COROLLARY",
                 {"nmax": 3},
                 "COROLLARY n<=3 FAIL",
-                "n=1 j=1 type II vs 2j-1 parts: 0 != 1",
+                "n=1 cell -1: odd 1 != strict 0",
             ),
         ],
     )
@@ -341,6 +342,35 @@ class TestCheckers:
         assert [r.name.split()[0] for r in reports] == list(CHECKERS)
         assert all(reports)
 
+    @pytest.mark.parametrize("name", ["THM12", "THM13", "COROLLARY"])
+    def test_cell_count_is_the_cells_a_passing_check_compares(self, name):
+        # a passing check compares each strict cell that occurs, once per
+        # size: the (parts, odd runs) pairs, odd runs counted from runs, not
+        # sol, or for COROLLARY the lengths
+        def cell(p):
+            odd_runs = sum(1 for run in runs(p) if len(run) % 2)
+            return p.length if name == "COROLLARY" else (p.length, odd_runs)
+
+        expected = 0
+        for nmax in range(1, 13):
+            expected += len({cell(p) for p in partitions(nmax, distinct=True)})
+            assert verify(name, nmax=nmax).counts == {"cells": expected}
+
+    def test_check_cells_fails_on_a_cell_only_one_side_holds(self):
+        # by largest part, n = 1 matches (1 against 1), but at n = 2 the odd
+        # 1+1 sits at 1 and the strict 2 at 2; negated, the strict cell
+        # sorts first
+        def largest(p):
+            return p.parts[0]
+
+        assert _check_cells("X", 1, largest, largest) == {"cells": 1}
+        with pytest.raises(Counterexample) as odd_only:
+            _check_cells("X", 3, largest, largest)
+        assert str(odd_only.value) == "n=2 cell 1: odd 1 != strict 0"
+        with pytest.raises(Counterexample) as strict_only:
+            _check_cells("X", 3, lambda p: -largest(p), lambda p: -largest(p))
+        assert str(strict_only.value) == "n=2 cell -2: odd 0 != strict 1"
+
     def test_every_desk_report_counts_what_it_checked(self):
         # what the enumeration-side checkers and FINITE_LEMMAS check at desk
         # bounds, pinned so that a cell or term loop that silently checks less
@@ -349,9 +379,9 @@ class TestCheckers:
             "EQ11": {"terms": 157},
             "EQ31": {"terms": 340},
             "EQ_2MEASURE_P": {"terms": 457},
-            "THM12": {"cells": 7254},
-            "THM13": {"cells": 3627},
-            "COROLLARY": {"cells": 702},
+            "THM12": {"cells": 167},
+            "THM13": {"cells": 167},
+            "COROLLARY": {"cells": 106},
             "GF4": {"terms": 230},
             "GF5": {"terms": 314},
             "SYLVESTER": {"partitions": 1069},
