@@ -8,7 +8,6 @@ decomposition behind the parity-index generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import Partition, parity_index, parse, partitions, runs, sol, union
@@ -130,20 +129,35 @@ def parse_labeled(text: str) -> LabeledPartition:
     return LabeledPartition(entries)
 
 
-@dataclass(frozen=True, slots=True)
 class SignedPair:
     """A strict partition paired with a labeled partition.
 
     Weight exponents: x counts X-labeled parts, y the total number of parts,
     q the total size; the sign is -1 to the number of Y-labeled parts.
+    Instances are immutable by convention and hashable.
     """
+
+    __slots__ = ("lam", "eta")
 
     lam: Partition
     eta: LabeledPartition
 
-    def __post_init__(self) -> None:
-        if not self.lam.is_strict():
-            raise ValueError(f"left partition must be strict, got {self.lam}")
+    def __init__(self, lam: Partition, eta: LabeledPartition) -> None:
+        if not lam.is_strict():
+            raise ValueError(f"left partition must be strict, got {lam}")
+        self.lam = lam
+        self.eta = eta
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SignedPair):
+            return self.lam == other.lam and self.eta == other.eta
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.eta))
+
+    def __repr__(self) -> str:
+        return f"SignedPair(lam={self.lam!r}, eta={self.eta!r})"
 
     @property
     def sign(self) -> int:

@@ -18,22 +18,17 @@ MultiSeries never holds a negative exponent.  No floating point anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
-from .report import compare_series
+from .report import Counterexample, compare_series
 
 Key = tuple[int, int, int]  # (q-exponent, x-exponent, y-exponent)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """An integer multiple of x^x_exp * y^y_exp * q^q_exp."""
+class Monomial(namedtuple("Monomial", ("coeff", "x", "y", "q"), defaults=(0, 0, 0))):
+    """An integer multiple of x^x * y^y * q^q."""
 
-    coeff: int
-    x: int = 0
-    y: int = 0
-    q: int = 0
+    __slots__ = ()
 
 
 class MultiSeries:
@@ -532,9 +527,9 @@ def check_qbinom(a: Monomial, order: int) -> dict:
 
 
 def check_xq2_expansion(n: int) -> dict:
-    """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials;
-    ``compare_series`` raises ``Counterexample`` at the smallest (q, x)
-    where the sides differ."""
+    """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials.
+    Returns the term count; ``compare_series`` raises ``Counterexample`` at
+    the smallest (q, x) where the sides differ."""
     lhs = LaurentPoly.poch(1, 0, 2, n, x=1)
     rhs = LaurentPoly.zero()
     for i in range(n + 1):
@@ -544,8 +539,7 @@ def check_xq2_expansion(n: int) -> dict:
             {(2 * exp, 0): coeff for exp, coeff in _gauss_coeffs(n, i).items()}
         )
         rhs = rhs + head * binom
-    compare_series(lhs, rhs)
-    return {}
+    return {"terms": compare_series(lhs, rhs)}
 
 
 def check_qchu(i: int, j: int) -> dict:
@@ -554,8 +548,11 @@ def check_qchu(i: int, j: int) -> dict:
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
     (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].
-    Returns whether both sides vanish; ``compare_series`` raises
-    ``Counterexample`` at the smallest (q, x) where they differ.
+    Returns the term count and whether both sides vanish, which they must
+    do exactly when j > i: the right side then carries the factor 1 - q^0
+    of (q^-i; q)_j.  ``compare_series`` raises ``Counterexample`` at the
+    smallest (q, x) where the sides differ, and a vanishing that breaks
+    that rule raises one too.
     """
     lhs = LaurentPoly.zero()
     for n in range(j + 1):
@@ -572,5 +569,9 @@ def check_qchu(i: int, j: int) -> dict:
         * LaurentPoly.poch(1, -i, 1, j)
         * LaurentPoly.poch(1, 1, 1, j)
     )
-    compare_series(lhs, rhs)
-    return {"vanishes": int(lhs.is_zero())}
+    terms = compare_series(lhs, rhs)
+    vanishes = lhs.is_zero()
+    if vanishes != (j > i):
+        said = "vanish" if vanishes else "do not vanish"
+        raise Counterexample(f"both sides {said}, but they vanish exactly when j > i")
+    return {"terms": terms, "vanishes": int(vanishes)}

@@ -4,8 +4,6 @@ raises it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 _BOUND_LABELS = {"nmax": "n", "order": "order", "mmax": "m"}
 
 
@@ -14,15 +12,47 @@ class Counterexample(Exception):
     exception's text is the report's witness."""
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one exact check, carrying a reproducible witness on failure."""
+    """Outcome of one exact check, carrying a reproducible witness on failure.
 
-    name: str
-    params: dict[str, object] = field(default_factory=dict)
-    witness: str | None = None
-    counts: dict[str, int] = field(default_factory=dict)
-    elapsed_s: float | None = field(default=None, compare=False)  # set by verify.verify
+    ``params`` and ``counts`` default to a fresh dict each.  Equality
+    ignores ``elapsed_s``, which ``verify.verify`` sets; a report is
+    mutable, so it is not hashable.
+    """
+
+    __slots__ = ("name", "params", "witness", "counts", "elapsed_s")
+
+    def __init__(
+        self,
+        name: str,
+        params: dict[str, object] | None = None,
+        witness: str | None = None,
+        counts: dict[str, int] | None = None,
+        elapsed_s: float | None = None,
+    ) -> None:
+        self.name = name
+        self.params = {} if params is None else params
+        self.witness = witness
+        self.counts = {} if counts is None else counts
+        self.elapsed_s = elapsed_s
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, VerificationReport):
+            return (
+                self.name == other.name
+                and self.params == other.params
+                and self.witness == other.witness
+                and self.counts == other.counts
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(name={self.name!r}, params={self.params!r}, "
+            f"witness={self.witness!r}, counts={self.counts!r}, elapsed_s={self.elapsed_s!r})"
+        )
 
     @property
     def passed(self) -> bool:

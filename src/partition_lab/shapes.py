@@ -12,7 +12,6 @@ row widths) live as oracles in the test suite.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import Partition, parity_index
@@ -30,27 +29,41 @@ class Border(Enum):
     RIGHT_BORDER = "right"
 
 
-@dataclass(frozen=True)
 class ModularDiagram:
     """A 2-modular diagram: rows of cells holding 1 or 2.
 
     Row lengths are non-increasing and every column is weakly decreasing
-    from top to bottom.
+    from top to bottom.  Instances are immutable by convention and
+    hashable.
     """
+
+    __slots__ = ("rows",)
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        widths = [len(row) for row in self.rows]
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        widths = [len(row) for row in rows]
         if any(a < b for a, b in zip(widths, widths[1:])):
             raise ValueError("row lengths must be non-increasing")
-        for row in self.rows:
+        for row in rows:
             if not row or any(cell not in (1, 2) for cell in row):
                 raise ValueError("cells must hold 1 or 2")
-        for upper, lower in zip(self.rows, self.rows[1:]):
+        for upper, lower in zip(rows, rows[1:]):
             for j in range(len(lower)):
                 if upper[j] < lower[j]:
                     raise ValueError(f"column {j + 1} increases downward")
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ModularDiagram):
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"ModularDiagram(rows={self.rows!r})"
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)

@@ -12,8 +12,7 @@ the two.  Each ``check_*`` returns what it counted, or raises
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import maps, qseries
 from .core import Partition, k_measure, parity_index, parse, partitions, sol
@@ -22,13 +21,10 @@ from .report import Counterexample, VerificationReport, compare_series
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", ("n", "strict", "odd_parts"), defaults=(False, False))):
     """The partitions of ``n``, restricted to strict ones, odd parts, or both."""
 
-    n: int
-    strict: bool = False
-    odd_parts: bool = False
+    __slots__ = ()
 
 
 def enumerate_family(spec: FamilySpec):
@@ -326,9 +322,11 @@ def check_glaisher_counterexample() -> dict:
 
 def check_finite_lemmas(order: int) -> dict:
     """Bundle of the terminating identities: the (x; q^2)_n expansion for
-    n <= 8, q-Chu-Vandermonde for 0 <= i, j <= 6, and the q-binomial theorem
-    for the monomials q, q^2 and -q.  A failing instance's witness is
-    prefixed by its name and arguments, e.g. ``QCHU i=2 j=3 ``."""
+    n <= 8, q-Chu-Vandermonde for 0 <= i, j <= 6, which must vanish exactly
+    when j > i, and the q-binomial theorem for the monomials q, q^2 and -q.
+    The counts add up every instance's counts by key, then count the
+    instances by name.  A failing instance's witness is prefixed by its
+    name and arguments, e.g. ``QCHU i=2 j=3 ``."""
     cases = [("XQ2_EXPANSION", f"n={n}", qseries.check_xq2_expansion, (n,)) for n in range(9)]
     cases += [
         ("QCHU", f"i={i} j={j}", qseries.check_qchu, (i, j)) for i in range(7) for j in range(7)
@@ -337,15 +335,14 @@ def check_finite_lemmas(order: int) -> dict:
         ("QBINOM", f"a={c}*q^{s}", qseries.check_qbinom, (Monomial(c, q=s), order))
         for c, s in ((1, 1), (1, 2), (-1, 1))
     ]
-    counts = {"terms": 0}
+    totals, instances = Counter(), Counter()
     for name, label, check, args in cases:
         try:
-            got = check(*args)
+            totals.update(check(*args))
         except Counterexample as exc:
             raise Counterexample(f"{name} {label} {exc}") from exc
-        counts["terms"] += got.get("terms", 0)
-        counts[name] = counts.get(name, 0) + 1
-    return counts
+        instances[name] += 1
+    return {**totals, **instances}
 
 
 # -- example sets ----------------------------------------------------------------

@@ -130,8 +130,26 @@ class TestSignedPair:
         assert pair.sign == 1
 
     def test_requires_strict_left(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^left partition must be strict, got 3\\+3$"):
             SignedPair(Partition([3, 3]), LabeledPartition())
+
+    def test_equality_hash_and_set_membership(self):
+        # check_involution compares each pair with its image and the fixed
+        # pairs as a set, so equal pairs must hash alike and unequal ones
+        # must stay apart
+        pair = parse_pair("3+2|6x+3+3+1x")
+        same = SignedPair(Partition([2, 3]), parse_labeled("1x+3+6x+3"))
+        assert pair == same and hash(pair) == hash(same)
+        assert same in {pair} and len({pair, same}) == 1
+        other = parse_pair("3+2|6x+3+3+1")
+        assert pair != other and other not in {pair}
+        assert pair != (pair.lam, pair.eta)
+        assert SignedPair(pair.lam, pair.eta) == pair
+
+    def test_repr(self):
+        assert repr(parse_pair("2|1x")) == (
+            "SignedPair(lam=Partition('2'), eta=LabeledPartition('1x'))"
+        )
 
     def test_parse_pair_needs_separator(self):
         with pytest.raises(ValueError):

@@ -216,6 +216,15 @@ def test_double_sum_matches_inverted_factorials(cells):
 
 
 class TestPochhammer:
+    def test_monomial_defaults_and_fields(self):
+        a = Monomial(-1, q=3)
+        assert (a.coeff, a.x, a.y, a.q) == (-1, 0, 0, 3)
+        assert Monomial(2) == Monomial(2, 0, 0, 0) == Monomial(coeff=2, x=0, y=0, q=0)
+        assert hash(Monomial(2, x=1)) == hash(Monomial(2, 1))
+        assert repr(Monomial(1, x=1)) == "Monomial(coeff=1, x=1, y=0, q=0)"
+        with pytest.raises(AttributeError):
+            a.q = 4
+
     def test_empty_product(self):
         assert pochhammer(Monomial(1, q=1), 1, 0, ORDER) == MultiSeries.one(ORDER)
 
@@ -475,17 +484,20 @@ class TestLaurentPoly:
 
 class TestFiniteIdentities:
     def test_xq2_trivial_case(self):
-        assert check_xq2_expansion(0) == {}
+        assert check_xq2_expansion(0) == {"terms": 1}
 
     def test_xq2_small_range(self):
+        # x^i carries q^(i(i-1)) times a Gaussian binomial in q^2 with
+        # i(n - i) + 1 terms, so (x; q^2)_n has n + 1 + C(n + 1, 3) terms
         for n in range(7):
-            assert check_xq2_expansion(n) == {}
+            assert check_xq2_expansion(n) == {"terms": n + 1 + math.comb(n + 1, 3)}
 
     def test_qchu_example_with_vanishing(self):
-        assert check_qchu(2, 3) == {"vanishes": 1}
+        assert check_qchu(2, 3) == {"terms": 0, "vanishes": 1}
 
     def test_qchu_nonvanishing(self):
-        assert check_qchu(4, 2) == {"vanishes": 0}
+        # q^10 (1 - q^-4)(1 - q^-3)(1 - q)(1 - q^2) has seven terms
+        assert check_qchu(4, 2) == {"terms": 7, "vanishes": 0}
 
     def test_qbinom_spec_example(self):
         assert check_qbinom(Monomial(1, q=1), 10)["terms"] > 0
@@ -511,6 +523,6 @@ class TestFiniteIdentities:
         assert str(caught.value) == "q^2 x^1: built -1, expected 0"
 
     def test_dispatch(self):
-        assert check_xq2_expansion(3) == {}
-        assert check_qchu(1, 1) == {"vanishes": 0}
+        assert check_xq2_expansion(3) == {"terms": 8}
+        assert check_qchu(1, 1) == {"terms": 3, "vanishes": 0}
         assert check_qbinom(Monomial(-1, q=1), 8)["terms"] > 0

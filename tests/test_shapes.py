@@ -144,12 +144,23 @@ class TestModularDiagrams:
                 assert tuple(map(len, diagram.rows)) == widths(p).parts
 
     def test_diagram_validation(self):
-        with pytest.raises(ValueError):
-            ModularDiagram(((1,), (2,)))  # column increases downward
-        with pytest.raises(ValueError):
-            ModularDiagram(((2, 3),))  # bad cell value
-        with pytest.raises(ValueError):
-            ModularDiagram(((2,), (2, 1)))  # widths must be non-increasing
+        with pytest.raises(ValueError, match="^column 1 increases downward$"):
+            ModularDiagram(((1,), (2,)))
+        with pytest.raises(ValueError, match="^cells must hold 1 or 2$"):
+            ModularDiagram(((2, 3),))
+        with pytest.raises(ValueError, match="^cells must hold 1 or 2$"):
+            ModularDiagram(((2,), ()))  # an empty row holds no cell
+        with pytest.raises(ValueError, match="^row lengths must be non-increasing$"):
+            ModularDiagram(((2,), (2, 1)))
+
+    def test_diagram_equality_hash_and_repr(self):
+        # a value: equal rows are one diagram, in a set or a dict
+        diagram = modular2_diagram(parse("5+1"))
+        same = ModularDiagram(((2, 2, 1), (1,)))
+        assert diagram == same and hash(diagram) == hash(same)
+        assert len({diagram, same, modular2_diagram(parse("5+1"), Border.RIGHT_BORDER)}) == 2
+        assert diagram != ModularDiagram(((2, 2, 1),)) and diagram != diagram.rows
+        assert repr(same) == "ModularDiagram(rows=((2, 2, 1), (1,)))"
 
     def test_rejects_a_border_that_is_not_a_border(self):
         # the value, not the enum, must not pick a drawing by falling through
@@ -254,7 +265,7 @@ def test_statistics_build_no_intermediate(monkeypatch):
         raise AssertionError(f"a statistic constructed a {type(self).__name__}")
 
     monkeypatch.setattr(Partition, "__init__", refuse)
-    monkeypatch.setattr(ModularDiagram, "__post_init__", refuse)
+    monkeypatch.setattr(ModularDiagram, "__init__", refuse)
     for n in range(21):
         for family in ({}, {"distinct": True}, {"odd": True}):
             for p in partitions(n, **family):

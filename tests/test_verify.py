@@ -2,7 +2,8 @@
 guards on who may call what in the package source."""
 
 import ast
-import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,17 @@ class TestEnumerate:
     def test_determinism(self):
         spec = FamilySpec(12, odd_parts=True)
         assert list(enumerate_family(spec)) == list(enumerate_family(spec))
+
+    def test_family_spec_fields(self):
+        # called as the benchmark's enumerate_deep workload calls it
+        strict, odd = FamilySpec(7, strict=True), FamilySpec(7, odd_parts=True)
+        assert (strict.n, strict.strict, strict.odd_parts) == (7, True, False)
+        assert (odd.n, odd.strict, odd.odd_parts) == (7, False, True)
+        assert FamilySpec(7) == FamilySpec(7, False, False) != strict
+        assert len({FamilySpec(7), FamilySpec(7, False, False), strict, odd}) == 3
+        assert repr(strict) == "FamilySpec(n=7, strict=True, odd_parts=False)"
+        with pytest.raises(AttributeError):
+            strict.n = 8
 
 
 class TestCounts:
@@ -158,7 +170,8 @@ class TestCheckers:
         assert isinstance(report.elapsed_s, float) and report.elapsed_s >= 0
         assert report.to_dict()["elapsed_s"] == report.elapsed_s
         # the time is not part of a report's identity
-        assert report == dataclasses.replace(report, elapsed_s=None)
+        untimed = VerificationReport(report.name, report.params, report.witness, report.counts)
+        assert untimed.elapsed_s is None and report == untimed
 
     @pytest.mark.parametrize(
         "stat,name,bounds,line,witness",
@@ -371,6 +384,22 @@ class TestCheckers:
             _check_cells("X", 3, lambda p: -largest(p), lambda p: -largest(p))
         assert str(strict_only.value) == "n=2 cell -2: odd 0 != strict 1"
 
+    @pytest.mark.parametrize(
+        "zero,witness",
+        [
+            # both sides equal, so only the vanishing check can fail
+            (False, "QCHU i=0 j=1 both sides do not vanish, but they vanish exactly when j > i"),
+            (True, "QCHU i=0 j=0 both sides vanish, but they vanish exactly when j > i"),
+        ],
+    )
+    def test_finite_lemmas_fail_when_qchu_vanishes_off_j_above_i(
+        self, monkeypatch, zero, witness
+    ):
+        monkeypatch.setattr(LaurentPoly, "is_zero", lambda self: zero)
+        report = verify("FINITE_LEMMAS", order=4)
+        assert report.line() == "FINITE_LEMMAS order<=4 FAIL"
+        assert report.witness == witness and report.counts == {}
+
     def test_every_desk_report_counts_what_it_checked(self):
         # what the enumeration-side checkers and FINITE_LEMMAS check at desk
         # bounds, pinned so that a cell or term loop that silently checks less
@@ -387,7 +416,13 @@ class TestCheckers:
             "SYLVESTER": {"partitions": 1069},
             "INVOLUTION": {"pairs": 4158},
             "LEMMA51": {"terms": 545, "round_trips": 508},
-            "FINITE_LEMMAS": {"terms": 753, "XQ2_EXPANSION": 9, "QCHU": 49, "QBINOM": 3},
+            "FINITE_LEMMAS": {
+                "terms": 1312,
+                "vanishes": 21,
+                "XQ2_EXPANSION": 9,
+                "QCHU": 49,
+                "QBINOM": 3,
+            },
         }
         reports = verify_all("desk")
         for report in reports:
@@ -458,6 +493,26 @@ class TestReports:
         )
         assert [(path, owner) for path, owner, _node in builders] == [("verify.py", "verify")]
 
+    def test_reports_own_their_default_dicts(self):
+        first, second = VerificationReport("X"), VerificationReport("X")
+        assert first.params == first.counts == {}
+        assert first.params is not second.params and first.counts is not second.counts
+        assert first.params is not first.counts
+        first.counts["terms"] = 1
+        assert second.counts == {} and first != second
+
+    def test_report_equality_ignores_time_and_reports_are_unhashable(self):
+        report = VerificationReport("X", {"order": 3}, None, {"terms": 2}, 0.5)
+        assert report == VerificationReport("X", {"order": 3}, counts={"terms": 2})
+        assert report != VerificationReport("X", {"order": 3}, "w", {"terms": 2}, 0.5)
+        assert report != ("X", {"order": 3}, None, {"terms": 2})
+        with pytest.raises(TypeError):
+            hash(report)
+        assert repr(report) == (
+            "VerificationReport(name='X', params={'order': 3}, witness=None,"
+            " counts={'terms': 2}, elapsed_s=0.5)"
+        )
+
     def test_to_dict_round_trip_fields(self):
         report = VerificationReport("Y", {"nmax": 5}, counts={"cells": 7})
         data = report.to_dict()
@@ -506,6 +561,30 @@ class TestExports:
                 elif path.name != "__init__.py":
                     read.add(getattr(node, "id", None) or getattr(node, "attr", None))
         assert sorted(defined - read) == sorted(self.UNCALLED)
+
+    def test_import_loads_no_code_introspection_modules(self):
+        # every verify call and benchmark pass imports the package cold;
+        # dataclasses alone would load inspect, ast, dis and tokenize.  The
+        # modules new after the import are compared with the same
+        # interpreter's own start-up, whatever its site loads
+        src = str(Path(partition_lab.__file__).resolve().parent.parent)
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import partition_lab\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-E", "-s", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "partition_lab.verify" in loaded
+        assert not loaded & {"dataclasses", "inspect", "ast", "dis"}, sorted(loaded)
 
 
 class TestExampleSets:
