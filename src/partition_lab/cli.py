@@ -94,15 +94,13 @@ def _cmd_map(args) -> int:
         _emit(args, {"map": "glaisher", "image": str(image)}, str(image))
     elif args.name == "phi":
         pair = maps.parse_pair(args.argument)
-        case, image = maps._phi(pair)
+        case, image = maps.involution_phi(pair)
         data = {
             "map": "phi",
             "case": case.name,
             "image": f"{image.lam}|{image.eta}",
         }
         _emit(args, data, f"{image.lam}|{image.eta} [{case.name}]")
-    else:
-        raise ValueError(f"unknown map {args.name!r}")
     return 0
 
 
@@ -140,8 +138,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.name != "involution":
-        raise ValueError(f"unknown table {args.name!r}")
     text = maps.involution_table(args.n)
     _emit(args, {"table": "involution", "n": args.n, "rows": text.splitlines()}, text)
     return 0

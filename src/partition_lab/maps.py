@@ -25,16 +25,17 @@ class LabeledPartition:
     part of value v+1 may coexist with an X-labeled v (equivalently, under
     the canonical order with an infinite sentinel in front, an X-labeled
     part is preceded by something at least 2 larger).  Instances are
-    immutable, so ``size``, ``x_count`` and ``y_count`` are counted once,
-    when the entries are validated.
+    immutable, so ``size``, ``x_count``, ``y_count`` and ``smallest_y`` (None
+    without a Y entry) are found once, when the entries are validated.
     """
 
-    __slots__ = ("entries", "size", "x_count", "y_count", "_smallest_y")
+    __slots__ = ("entries", "size", "x_count", "y_count", "smallest_y")
 
     entries: tuple[tuple[int, bool], ...]  # (value, is_x)
     size: int
     x_count: int
     y_count: int
+    smallest_y: int | None  # the last Y entry in canonical order
 
     def __init__(self, entries=()) -> None:
         normal = []
@@ -64,7 +65,7 @@ class LabeledPartition:
         self.size = size
         self.x_count = x_count
         self.y_count = len(normal) - x_count
-        self._smallest_y = smallest_y
+        self.smallest_y = smallest_y
 
     @property
     def length(self) -> int:
@@ -79,10 +80,6 @@ class LabeledPartition:
 
     def has_x(self, value: int) -> bool:
         return (value, True) in self.entries
-
-    def smallest_y(self) -> int | None:
-        # the last Y entry in canonical order, kept by __init__
-        return self._smallest_y
 
     def add(self, value: int) -> "LabeledPartition":
         """This partition with one more Y-labeled part ``value``."""
@@ -204,7 +201,7 @@ def classify_pair(pair: SignedPair):
         if not eta.has_x(part - 1):
             a = part
             break
-    b = eta.smallest_y()
+    b = eta.smallest_y
     if a is None and b is None:
         return PhiCase.FIXED, None, None
     if b is not None and (a is None or a > b):
@@ -212,9 +209,18 @@ def classify_pair(pair: SignedPair):
     return PhiCase.CASE2, a, b
 
 
-def _phi(pair: SignedPair) -> tuple[PhiCase, SignedPair]:
-    # the case of ``pair`` and its image under involution_phi, from one
-    # classification
+def involution_phi(pair: SignedPair) -> tuple[PhiCase, SignedPair]:
+    """Sign-reversing, weight-preserving involution on signed pairs.
+
+    Returns the case of ``pair`` and its image, from one classification.
+    Case 1 moves the smallest Y-labeled part across to the strict side;
+    case 2 moves part ``a`` across as a new Y-labeled part; a fixed pair is
+    its own image.  Both moves are well defined: in case 1 the moved value
+    cannot already sit in the strict side (that would force an X-labeled
+    b-1 next to a part b), and in case 2 the incoming Y-part cannot crowd
+    an X-labeled a-1, by the choice of a.  The pair constructors re-check
+    both invariants at runtime.
+    """
     case, a, b = classify_pair(pair)
     if case is PhiCase.FIXED:
         return case, pair
@@ -223,19 +229,6 @@ def _phi(pair: SignedPair) -> tuple[PhiCase, SignedPair]:
     remaining = list(pair.lam.parts)
     remaining.remove(a)
     return case, SignedPair(Partition(remaining), pair.eta.add(a))
-
-
-def involution_phi(pair: SignedPair) -> SignedPair:
-    """Sign-reversing, weight-preserving involution on signed pairs.
-
-    Case 1 moves the smallest Y-labeled part across to the strict side;
-    case 2 moves part ``a`` across as a new Y-labeled part.  Both moves are
-    well defined: in case 1 the moved value cannot already sit in the strict
-    side (that would force an X-labeled b-1 next to a part b), and in case 2
-    the incoming Y-part cannot crowd an X-labeled a-1, by the choice of a.
-    The pair constructors re-check both invariants at runtime.
-    """
-    return _phi(pair)[1]
 
 
 def fixed_to_strict(pair: SignedPair) -> Partition:
@@ -320,7 +313,7 @@ def involution_table(n: int) -> str:
         (p for p in enumerate_pairs(n) if p.sign < 0), key=_pair_sort_key
     )
     for pair in negatives:
-        lines.append(f"{pair} | {involution_phi(pair)}")
+        lines.append(f"{pair} | {involution_phi(pair)[1]}")
     return "\n".join(lines)
 
 

@@ -11,9 +11,11 @@ exponent; only the two binomial steps store their own output unchecked
 (dropping cancelled zeros), because their bounds keep every exponent
 nonnegative and within the order.  Every named series is one of two sums: a
 double sum in nested Horner form over binomial steps, or one recurrence
-loop, which QBINOM runs as the Pochhammer builders do.  LaurentPoly quarantines
-the negative q-powers required by the terminating hypergeometric checks;
-MultiSeries never holds a negative exponent.  No floating point anywhere.
+loop, which QBINOM runs as the Pochhammer builders do.  XQ2's Gaussian
+binomials are binomial steps too, truncated at their degree; there is no
+q-Pascal table.  LaurentPoly quarantines the negative q-powers required by
+the terminating hypergeometric checks; MultiSeries never holds a negative
+exponent.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -230,23 +232,14 @@ def pochhammer(a: Monomial, step: int, n: int | None, order: int) -> MultiSeries
     return result
 
 
-def _gauss_coeffs(a: int, b: int) -> dict[int, int]:
-    """Coefficients {exponent: value} of the Gaussian binomial via q-Pascal."""
-    if b < 0 or b > a:
-        return {}
-    prev: list[dict[int, int]] = [{0: 1}]
-    for i in range(1, a + 1):
-        cur: list[dict[int, int]] = []
-        for j in range(0, min(i, b) + 1):
-            if j == 0 or j == i:
-                cur.append({0: 1})
-                continue
-            merged = dict(prev[j - 1])
-            for exp, coeff in prev[j].items():
-                merged[exp + j] = merged.get(exp + j, 0) + coeff
-            cur.append(merged)
-        prev = cur
-    return prev[b]
+def _gauss(n: int, i: int) -> MultiSeries:
+    """The Gaussian binomial [n, i]_q for 0 <= i <= n, as the product of
+    (1 - q^(n-i+k)) / (1 - q^k) over k = 1..i in binomial steps.  Truncating
+    at its degree i(n - i) loses nothing."""
+    result = MultiSeries.one(i * (n - i))
+    for k in range(1, i + 1):
+        result = result._times_binomial(1, n - i + k, 0, 0)._over_binomial(1, k, 0, 0)
+    return result
 
 
 # -- named series builders ---------------------------------------------------
@@ -535,9 +528,7 @@ def check_xq2_expansion(n: int) -> dict:
     for i in range(n + 1):
         sign = -1 if i % 2 else 1
         head = LaurentPoly.term(sign, q=i * i - i, x=i)
-        binom = LaurentPoly(
-            {(2 * exp, 0): coeff for exp, coeff in _gauss_coeffs(n, i).items()}
-        )
+        binom = LaurentPoly({(2 * q, 0): c for (q, _x, _y), c in _gauss(n, i).terms.items()})
         rhs = rhs + head * binom
     return {"terms": compare_series(lhs, rhs)}
 

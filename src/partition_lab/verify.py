@@ -227,6 +227,9 @@ def check_sylvester(nmax: int) -> dict:
     return {"partitions": checked}
 
 
+_SWAPPED = {maps.PhiCase.CASE1: maps.PhiCase.CASE2, maps.PhiCase.CASE2: maps.PhiCase.CASE1}
+
+
 def check_involution(nmax: int) -> dict:
     """Involution on signed pairs: involutive, weight-preserving,
     sign-reversing off fixed points, cases swapping, and the fixed-point
@@ -239,15 +242,15 @@ def check_involution(nmax: int) -> dict:
     labeled: list[list[maps.LabeledPartition]] = []
     for n in range(nmax + 1):
         labeled.append(maps.enumerate_labeled(n))
-        signed: dict[tuple[int, int], int] = {}
-        fixed_weights: dict[tuple[int, int], int] = {}
+        signed: dict[tuple[int, int], int] = {}  # a Counter's + would drop negative sums
+        fixed_weights = Counter()
         fixed_pairs = []
         for pair in maps._pairs(n, labeled):
             pair_count += 1
             x, y, _q = weight = pair.weight
             sign = pair.sign
-            case, image = maps._phi(pair)
-            icase, back = maps._phi(image)
+            case, image = maps.involution_phi(pair)
+            icase, back = maps.involution_phi(image)
             if back != pair:
                 raise Counterexample(f"phi^2({pair}) = {back}")
             if image.weight != weight:
@@ -256,22 +259,19 @@ def check_involution(nmax: int) -> dict:
                 if case is not maps.PhiCase.FIXED or sign != 1:
                     raise Counterexample(f"bad fixed point {pair}")
                 fixed_pairs.append(pair)
-                fixed_weights[(x, y)] = fixed_weights.get((x, y), 0) + 1
+                fixed_weights[(x, y)] += 1
             else:
-                expected = (
-                    maps.PhiCase.CASE2 if case is maps.PhiCase.CASE1 else maps.PhiCase.CASE1
-                )
-                if icase is not expected:
+                if icase is not _SWAPPED[case]:
                     raise Counterexample(f"case does not swap at {pair}")
                 if image.sign != -sign:
                     raise Counterexample(f"sign kept at {pair}")
             signed[(x, y)] = signed.get((x, y), 0) + sign
         signed = {k: v for k, v in signed.items() if v}
-        strict_weights = Counter((k_measure(t, 2), t.length) for t in partitions(n, distinct=True))
+        strict = list(partitions(n, distinct=True))
+        strict_weights = Counter((k_measure(t, 2), t.length) for t in strict)
         if signed != strict_weights or fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")
-        recovered = {maps.strict_to_fixed(t) for t in partitions(n, distinct=True)}
-        if recovered != set(fixed_pairs):
+        if {maps.strict_to_fixed(t) for t in strict} != set(fixed_pairs):
             raise Counterexample(f"fixed points at size {n} are not the strict partitions")
         for pair in fixed_pairs:
             if maps.strict_to_fixed(maps.fixed_to_strict(pair)) != pair:

@@ -129,7 +129,7 @@ def test_criterion_07_sylvester_bijection():
 def test_criterion_08_involution():
     report = verify("INVOLUTION", nmax=12)
     ok = report.passed
-    fixed = {str(p) for p in enumerate_pairs(6) if involution_phi(p) == p}
+    fixed = {str(p) for p in enumerate_pairs(6) if involution_phi(p)[1] == p}
     ok = ok and fixed == {"(0, 6x)", "(0, 5x+1x)", "(0, 4x+2x)", "(2, 3x+1x)"}
     table = involution_table(6)
     ok = ok and len(table.splitlines()) == 44  # header + 43 paired rows

@@ -161,6 +161,10 @@ class TestErrors:
             ("verify", "NOPE"),
             ("verify", "THM11", "--profile", "nonsense"),
             ("verify", "all", "--profile", "nonsense"),
+            # argparse's choices reject an unknown map or table before
+            # any command runs
+            ("map", "nope", "1"),
+            ("table", "nope"),
         ],
     )
     def test_unknown_checker_exits_two(self, capsys, argv):

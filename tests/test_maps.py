@@ -98,7 +98,7 @@ class TestLabeledPartition:
                 assert eta.size == sum(value for value, _ in eta.entries) == m
                 assert eta.x_count == labels.count(True)
                 assert eta.y_count == labels.count(False)
-                assert eta.smallest_y() == (min(ys) if ys else None)
+                assert eta.smallest_y == (min(ys) if ys else None)
                 assert all(type(n) is int for n in (eta.size, eta.x_count, eta.y_count))
 
     def test_shuffled_entries_come_out_canonical(self):
@@ -176,16 +176,15 @@ class TestInvolution:
     def test_moves_between_sides(self):
         left = parse_pair("0|6")
         right = parse_pair("6|0")
-        assert involution_phi(left) == right
-        assert involution_phi(right) == left
+        assert involution_phi(left) == (PhiCase.CASE1, right)
+        assert involution_phi(right) == (PhiCase.CASE2, left)
 
     def test_case2_labels_y(self):
-        image = involution_phi(parse_pair("3|3x"))
-        assert image == parse_pair("0|3x+3")
+        assert involution_phi(parse_pair("3|3x")) == (PhiCase.CASE2, parse_pair("0|3x+3"))
 
     def test_fixed_point(self):
         pair = parse_pair("2|3x+1x")
-        assert involution_phi(pair) == pair
+        assert involution_phi(pair) == (PhiCase.FIXED, pair)
 
     def test_table_rows_from_publication(self):
         rows = (DATA / "involution_n6_printed.txt").read_text().splitlines()
@@ -193,7 +192,7 @@ class TestInvolution:
         computed = set()
         for pair in enumerate_pairs(6):
             if pair.sign < 0:
-                computed.add(f"{pair} | {involution_phi(pair)}")
+                computed.add(f"{pair} | {involution_phi(pair)[1]}")
         assert computed == set(rows)
 
     def test_table_matches_golden_file(self):
@@ -203,16 +202,16 @@ class TestInvolution:
     def test_exhaustive_involution_properties(self):
         for n in range(10):
             for pair in enumerate_pairs(n):
-                image = involution_phi(pair)
-                assert involution_phi(image) == pair
+                case, image = involution_phi(pair)
+                icase, back = involution_phi(image)
+                assert back == pair
                 assert image.weight == pair.weight
-                case, _, _ = classify_pair(pair)
+                assert (case, icase) == (classify_pair(pair)[0], classify_pair(image)[0])
                 if image == pair:
                     assert case is PhiCase.FIXED
                     assert pair.sign == 1
                 else:
                     assert image.sign == -pair.sign
-                    icase, _, _ = classify_pair(image)
                     swapped = {PhiCase.CASE1: PhiCase.CASE2, PhiCase.CASE2: PhiCase.CASE1}
                     assert icase is swapped[case]
 
@@ -220,7 +219,7 @@ class TestInvolution:
         fixed = {
             str(pair)
             for pair in enumerate_pairs(6)
-            if involution_phi(pair) == pair
+            if involution_phi(pair)[1] == pair
         }
         assert fixed == {"(0, 6x)", "(0, 5x+1x)", "(0, 4x+2x)", "(2, 3x+1x)"}
 

@@ -400,6 +400,22 @@ class TestCheckers:
         assert report.line() == "FINITE_LEMMAS order<=4 FAIL"
         assert report.witness == witness and report.counts == {}
 
+    def test_involution_goes_through_the_public_phi(self, monkeypatch):
+        # the benchmark traces maps.involution_phi, so the checker must call
+        # that name: once for each pair and once for its image
+        from partition_lab.verify import check_involution
+
+        calls = []
+        real = maps.involution_phi
+
+        def counted(pair):
+            calls.append(pair)
+            return real(pair)
+
+        monkeypatch.setattr(maps, "involution_phi", counted)
+        counts = check_involution(8)
+        assert counts["pairs"] > 0 and len(calls) == 2 * counts["pairs"]
+
     def test_every_desk_report_counts_what_it_checked(self):
         # what the enumeration-side checkers and FINITE_LEMMAS check at desk
         # bounds, pinned so that a cell or term loop that silently checks less
@@ -547,6 +563,15 @@ class TestExports:
         "invert": "the reference for binomial division; the benchmark binds it",
     }
 
+    # another module's private names that a module reads, each with why
+    PRIVATE_READS = {
+        "maps._pairs": "verify streams each size's pairs from labeled lists shared"
+        " across sizes; a public per-size stream would call enumerate_labeled"
+        " 91 times instead of 13 at desk bounds",
+        "maps._transported_stats": "the relations SYLVESTER checks, which grow"
+        " with the classical refinements",
+    }
+
     def test_every_export_has_a_library_caller(self):
         # a function, class or method (exported or not, dunders aside) that
         # the package defines but none of its modules reads is surface that
@@ -561,6 +586,37 @@ class TestExports:
                 elif path.name != "__init__.py":
                     read.add(getattr(node, "id", None) or getattr(node, "attr", None))
         assert sorted(defined - read) == sorted(self.UNCALLED)
+
+    def test_no_module_reads_another_modules_private_names(self):
+        # a module's single-underscore names are its own; a read from another
+        # module, through ``from . import m`` then ``m._name`` or through
+        # ``from .m import _name``, needs a reason in PRIVATE_READS
+        def private(name):
+            return name.startswith("_") and not name.startswith("__")
+
+        read = set()
+        for path in Path(partition_lab.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            modules = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    if node.module is None:
+                        modules.update(alias.asname or alias.name for alias in node.names)
+                    else:
+                        read.update(
+                            f"{node.module}.{alias.name}"
+                            for alias in node.names
+                            if private(alias.name)
+                        )
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and private(node.attr)
+                ):
+                    read.add(f"{node.value.id}.{node.attr}")
+        assert sorted(read) == sorted(self.PRIVATE_READS)
 
     def test_import_loads_no_code_introspection_modules(self):
         # every verify call and benchmark pass imports the package cold;
