@@ -54,9 +54,6 @@ from .shapes import (
 )
 from .verify import (
     FamilySpec,
-    count_A,
-    count_B,
-    count_D,
     enumerate_family,
     example_sets,
 )

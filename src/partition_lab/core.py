@@ -78,12 +78,6 @@ class Partition:
                 cols[j] += 1
         return Partition(cols)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, index):
-        return self.parts[index]
-
     def __bool__(self) -> bool:
         return bool(self.parts)
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Partition, parity_index, parse, partitions, runs, sol, union
-from .report import Counterexample
-from .shapes import alternating_index, dur2
+from .core import Partition, parity_index, parse, partitions, runs, union
+from .shapes import dur2
 
 
 class LabeledPartition:
@@ -365,43 +364,6 @@ def sylvester(p: Partition) -> Partition:
     if not p:
         return Partition()
     return _hook_image(p, _hook_lengths(p))
-
-
-def _transported_stats(p: Partition, image: Partition) -> dict:
-    # the statistics Sylvester's map transports from the odd partition p to
-    # its image sylvester(p): Durfee side against half the image length,
-    # the alternating index against the image's odd-run count, and the
-    # three hook-length relations tying consecutive readings to part
-    # multiplicities and gaps.  Returns an empty count, or raises
-    # Counterexample naming p and every relation that fails.
-    if not p:
-        return {}
-    # the hook readings: the image's parts, with the trailing zero that
-    # _hook_image drops put back when the length is odd
-    ell = list(image.parts) + [0] * (image.length % 2)
-    k = dur2(p)
-    problems: list[str] = []
-    if k != (image.length + 1) // 2:
-        problems.append(f"Durfee side {k} != ceil(len/2) {(image.length + 1) // 2}")
-    if alternating_index(p) != sol(image):
-        problems.append(
-            f"alt {alternating_index(p)} != sol(image) {sol(image)}"
-        )
-    for i in range(1, k):
-        if ell[2 * i - 2] - ell[2 * i - 1] - 1 != p.multiplicity(2 * i - 1):
-            problems.append(f"l{2 * i - 1}-l{2 * i}-1 != multiplicity of {2 * i - 1}")
-    if ell[2 * k - 1] != 0:
-        if ell[2 * k - 2] - ell[2 * k - 1] - 1 != p.multiplicity(2 * k - 1):
-            problems.append(f"l{2 * k - 1}-l{2 * k}-1 != multiplicity of {2 * k - 1}")
-        if p.parts[k - 1] <= 2 * k - 1:
-            problems.append(f"nonzero l{2 * k} but row {k} does not exceed the square")
-    for i in range(1, k):
-        gap = p.parts[i - 1] - p.parts[i]
-        if ell[2 * i - 1] - ell[2 * i] - 1 != gap // 2:
-            problems.append(f"l{2 * i}-l{2 * i + 1}-1 != half gap at row {i}")
-    if problems:
-        raise Counterexample(f"{p}: " + "; ".join(problems))
-    return {}
 
 
 def glaisher(p: Partition) -> Partition:

@@ -92,15 +92,9 @@ class MultiSeries:
             merged[key] = merged.get(key, 0) + coeff
         return MultiSeries(self.order, merged)
 
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiSeries":
-        return MultiSeries(self.order, {k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiSeries(self.order, {k: other * c for k, c in self.terms.items()})
+        if not isinstance(other, MultiSeries):
+            return NotImplemented
         self._require_compatible(other)
         out: dict[Key, int] = {}
         order = self.order
@@ -134,7 +128,8 @@ class MultiSeries:
         if c not in (1, -1):
             raise ValueError("cannot invert a series whose constant term is not +1/-1")
         order = self.order
-        u = MultiSeries.one(order) - self * c
+        # u = 1 - c * self: c * c = 1 cancels the constant term
+        u = MultiSeries(order, {k: -c * v for k, v in self.terms.items() if k != (0, 0, 0)})
         if any(q < 1 for (q, _x, _y) in u.terms):
             raise ValueError("series is not invertible under this truncation")
         # every term of u has q >= 1, so u^(order+1) truncates to zero
@@ -143,7 +138,7 @@ class MultiSeries:
         while power.terms:
             result = result + power
             power = power * u
-        return result * c
+        return MultiSeries(order, {k: c * v for k, v in result.terms.items()})
 
     # -- binomial steps ------------------------------------------------------
 

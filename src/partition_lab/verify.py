@@ -33,29 +33,6 @@ def enumerate_family(spec: FamilySpec):
     return partitions(spec.n, distinct=spec.strict, odd=spec.odd_parts)
 
 
-# -- cell counts ------------------------------------------------------------------
-
-
-def count_D(n: int, k: int, m: int) -> int:
-    """Strict partitions of n with k parts and m odd-length runs."""
-    return sum(1 for p in partitions(n, distinct=True) if p.length == k and sol(p) == m)
-
-
-def count_A(n: int, k: int, m: int, kind: DurfeeType) -> int:
-    """Odd partitions of n of 2-modular type ``kind``, Durfee side k, sub-side m.
-    The empty partition has no sub-side, so it is in no cell."""
-    if not isinstance(kind, DurfeeType):
-        raise ValueError(f"kind must be a DurfeeType, got {kind!r}")
-    return sum(
-        1 for p in partitions(n, odd=True) if p and dur2(p) == k and dur2_sub(p) == (kind, m)
-    )
-
-
-def count_B(n: int, k: int, m: int) -> int:
-    """Odd partitions of n with 2-modular Durfee side k, alternating index m."""
-    return sum(1 for p in partitions(n, odd=True) if dur2(p) == k and alternating_index(p) == m)
-
-
 def _enumeration_series(order, key, **family) -> MultiSeries:
     """Sum of q^n x^a y^b over ``partitions(n, **family)`` for n <= order,
     where ``key(p)`` gives the exponents (a, b)."""
@@ -209,6 +186,43 @@ def check_gf5(order: int) -> dict:
     )
 
 
+def _transported_stats(p: Partition, image: Partition) -> dict:
+    # the statistics Sylvester's map transports from the odd partition p to
+    # its image sylvester(p): Durfee side against half the image length,
+    # the alternating index against the image's odd-run count, and the
+    # three hook-length relations tying consecutive readings to part
+    # multiplicities and gaps.  Returns an empty count, or raises
+    # Counterexample naming p and every relation that fails.
+    if not p:
+        return {}
+    # the hook readings: the image's parts, with the trailing zero that
+    # maps.sylvester drops put back when the length is odd
+    ell = list(image.parts) + [0] * (image.length % 2)
+    k = dur2(p)
+    problems: list[str] = []
+    if k != (image.length + 1) // 2:
+        problems.append(f"Durfee side {k} != ceil(len/2) {(image.length + 1) // 2}")
+    if alternating_index(p) != sol(image):
+        problems.append(
+            f"alt {alternating_index(p)} != sol(image) {sol(image)}"
+        )
+    for i in range(1, k):
+        if ell[2 * i - 2] - ell[2 * i - 1] - 1 != p.multiplicity(2 * i - 1):
+            problems.append(f"l{2 * i - 1}-l{2 * i}-1 != multiplicity of {2 * i - 1}")
+    if ell[2 * k - 1] != 0:
+        if ell[2 * k - 2] - ell[2 * k - 1] - 1 != p.multiplicity(2 * k - 1):
+            problems.append(f"l{2 * k - 1}-l{2 * k}-1 != multiplicity of {2 * k - 1}")
+        if p.parts[k - 1] <= 2 * k - 1:
+            problems.append(f"nonzero l{2 * k} but row {k} does not exceed the square")
+    for i in range(1, k):
+        gap = p.parts[i - 1] - p.parts[i]
+        if ell[2 * i - 1] - ell[2 * i] - 1 != gap // 2:
+            problems.append(f"l{2 * i}-l{2 * i + 1}-1 != half gap at row {i}")
+    if problems:
+        raise Counterexample(f"{p}: " + "; ".join(problems))
+    return {}
+
+
 def check_sylvester(nmax: int) -> dict:
     """Hook bijection: statistics transport plus bijectivity at every size."""
     checked = 0
@@ -218,7 +232,7 @@ def check_sylvester(nmax: int) -> dict:
         for p in partitions(n, odd=True):
             total += 1
             image = maps.sylvester(p)
-            maps._transported_stats(p, image)
+            _transported_stats(p, image)
             images.add(image)
             checked += 1
         strict_set = set(partitions(n, distinct=True))

@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,43 @@ import pytest
 from partition_lab import cli
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands():
+    """(line, argv, expected output or None) for each line of the README's
+    ``## Command line`` code block; a ``# -> X`` comment gives the output."""
+    _, _, section = README.read_text().partition("## Command line")
+    _, _, block = section.partition("```sh\n")
+    commands = []
+    for line in block.partition("```")[0].splitlines():
+        command, _, comment = line.partition("#")
+        arrow = comment.strip()
+        expected = arrow[2:].strip() if arrow.startswith("->") else None
+        commands.append((line, shlex.split(command), expected))
+    return commands
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, capsys):
+        # each documented command exits 0 through the CLI entry point, and
+        # prints what its ``-> X`` comment says
+        commands = readme_commands()
+        assert commands and all(argv[0] == "partition-lab" for _, argv, _ in commands)
+        compared = 0
+        for line, argv, expected in commands:
+            code, out, err = run(capsys, *argv[1:])
+            assert code == 0, (line, err)
+            if expected is not None:
+                assert out.strip() == expected, line
+                compared += 1
+        assert compared == 3
 
 
 class TestStats:

@@ -322,7 +322,7 @@ class TestSylvester:
         real = maps._hook_lengths
         monkeypatch.setattr(maps, "_hook_lengths", lambda p: calls.append(p) or real(p))
         p = parse("9+7+7+5+1+1")
-        assert maps._transported_stats(p, sylvester(p)) == {}
+        assert verify._transported_stats(p, sylvester(p)) == {}
         assert len(calls) == 1
 
     def test_checker_reads_hooks_once_per_partition(self, monkeypatch):
@@ -340,7 +340,7 @@ class TestSylvester:
         # l2 = 6 in place of the 7 of sylvester(9+7+7+5+1+1) = 10+7+5+4+3+1,
         # l1 - l2 - 1 no longer counts the two 1s
         with pytest.raises(Counterexample, match="multiplicity of 1"):
-            maps._transported_stats(parse("9+7+7+5+1+1"), parse("10+6+5+4+3+1"))
+            verify._transported_stats(parse("9+7+7+5+1+1"), parse("10+6+5+4+3+1"))
 
     def test_hooks_out_of_order_raise(self, monkeypatch):
         # the statistics are read back from the image's parts, so the hook
@@ -352,11 +352,11 @@ class TestSylvester:
     def test_stats_check_raises_on_size_change(self, monkeypatch):
         monkeypatch.setattr(maps, "_hook_lengths", lambda p: [4, 0])
         with pytest.raises(RuntimeError):
-            maps._transported_stats(parse("1"), sylvester(parse("1")))
+            verify._transported_stats(parse("1"), sylvester(parse("1")))
 
     def test_stats_check_examples(self):
         for p in [parse("9+7+7+5+1+1"), parse("1"), *odd_partitions(15)]:
-            assert maps._transported_stats(p, sylvester(p)) == {}, p
+            assert verify._transported_stats(p, sylvester(p)) == {}, p
 
     def test_bijection_small_sizes(self):
         for n in range(19):

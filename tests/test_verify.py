@@ -1,5 +1,5 @@
-"""Family enumeration, counting functions, checkers, example sets, and
-guards on who may call what in the package source."""
+"""Family enumeration, checkers, example sets, and guards on who may call
+what in the package source."""
 
 import ast
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 
 import partition_lab
 from partition_lab import maps, qseries
+from partition_lab import verify as verify_module
 from partition_lab.core import parse, partitions, runs, sol
 from partition_lab.qseries import LaurentPoly, MultiSeries
 from partition_lab.report import Counterexample, VerificationReport, compare_series
@@ -18,9 +19,6 @@ from partition_lab.verify import (
     CHECKERS,
     FamilySpec,
     _check_cells,
-    count_A,
-    count_B,
-    count_D,
     enumerate_family,
     example_sets,
     verify,
@@ -84,37 +82,12 @@ class TestEnumerate:
 
 
 class TestCounts:
-    def test_published_cells(self):
-        assert count_A(16, 2, 1, DurfeeType.TYPE_I) == 6
-        assert count_B(16, 2, 2) == 6
-        assert count_D(16, 4, 2) == 6
-        assert count_A(15, 2, 0, DurfeeType.TYPE_II) == 5
-        assert count_B(15, 2, 1) == 5
-        assert count_D(15, 3, 1) == 5
-
-    def test_edge_sizes(self):
-        # the empty partition has no sub-Durfee side, so it is in no A cell
-        for kind in DurfeeType:
-            assert count_A(0, 0, 0, kind) == 0
-        assert count_B(0, 0, 0) == count_D(0, 0, 0) == 1
-        with pytest.raises(ValueError):
-            count_A(-1, 0, 0, DurfeeType.TYPE_I)
-        with pytest.raises(ValueError):
-            count_B(-1, 0, 0)
-        with pytest.raises(ValueError):
-            count_D(-1, 0, 0)
-
-    def test_count_A_rejects_a_kind_that_is_not_a_durfee_type(self):
-        # a type name given as text must not read as an empty cell
-        with pytest.raises(ValueError):
-            count_A(16, 2, 1, "TYPE_I")
-
     def test_parity_constraint_on_strict_counts(self):
+        # THM13 relies on it: a strict cell (parts, odd runs) of mixed parity
+        # holds no strict partition
         for n in range(1, 15):
-            for k in range(1, n + 1):
-                for m in range(0, k + 1):
-                    if (k - m) % 2:
-                        assert count_D(n, k, m) == 0
+            for p in partitions(n, distinct=True):
+                assert (p.length - sol(p)) % 2 == 0, p
 
 
 class TestCheckers:
@@ -242,8 +215,6 @@ class TestCheckers:
     ):
         # the line names only the requested bounds; a sub-loop index or the
         # series compared against goes into the witness prefix
-        from partition_lab import verify as verify_module
-
         monkeypatch.setattr(verify_module, stat, lambda *args: 0)
         report = verify(name, **bounds)
         assert report.line() == line
@@ -275,7 +246,7 @@ class TestCheckers:
                 "against reindexed: q^3 x^0 y^1: built 1, expected 0",
             ),
             (
-                maps,
+                verify_module,
                 "alternating_index",
                 lambda real: lambda p: real(p) + (p.size == 7),
                 "SYLVESTER",
@@ -321,8 +292,9 @@ class TestCheckers:
     def test_broken_layer_fails_with_bounds_and_witness(
         self, monkeypatch, owner, attr, fault, name, bounds, line, witness
     ):
-        # a fault below verify's namespace: a builder, a map or the
-        # arithmetic of a finite lemma; the witness names the failing case
+        # a fault in one layer: a builder, a map, a statistic at one size
+        # only, or the arithmetic of a finite lemma; the witness names the
+        # failing case
         monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
         report = verify(name, **bounds)
         assert report.line() == line
@@ -331,8 +303,6 @@ class TestCheckers:
 
     def test_verify_all_runs_every_checker(self, monkeypatch):
         # shrink the bounds so the full sweep stays fast
-        from partition_lab import verify as verify_module
-
         small = {
             "PROP_2MEASURE": {"nmax": 10},
             "THM11": {"order": 8},
@@ -496,8 +466,6 @@ class TestReports:
         assert compare_series(built, built) == 3
 
     def test_package_exports_the_verify_counterexample(self):
-        from partition_lab import verify as verify_module
-
         assert partition_lab.Counterexample is verify_module.Counterexample is Counterexample
 
     def test_verify_alone_builds_reports(self):
@@ -556,9 +524,6 @@ class TestTrustedConstruction:
 class TestExports:
     # definitions that no module of the package reads, each with why it stays
     UNCALLED = {
-        "count_A": "the paper's A notation, read by the published-cell tests",
-        "count_B": "the paper's B notation, read by the published-cell tests",
-        "count_D": "the paper's D notation, read by the published-cell tests",
         "enumerate_family": "the benchmark binds it and reports verify.enumerate_family.yielded",
         "invert": "the reference for binomial division; the benchmark binds it",
     }
@@ -568,8 +533,6 @@ class TestExports:
         "maps._pairs": "verify streams each size's pairs from labeled lists shared"
         " across sizes; a public per-size stream would call enumerate_labeled"
         " 91 times instead of 13 at desk bounds",
-        "maps._transported_stats": "the relations SYLVESTER checks, which grow"
-        " with the classical refinements",
     }
 
     def test_every_export_has_a_library_caller(self):
