@@ -2,14 +2,15 @@
 
 A partition is stored once, canonically, as a non-increasing tuple of
 positive integers.  Every statistic here is a pure function of that tuple.
-The public constructor sorts and validates its parts; only the partition
-walk stores its own output unchecked, because it builds each part array
-sorted and positive.  The walk keeps the parts in one preallocated array
-in which every entry past the last part greater than 1 is a 1, so it never
-writes, counts or deletes trailing 1s (Zoghbi and Stojmenovic's ZS1 step,
-which keeps the reverse-lexicographic order).  For strict partitions the
-walk also cuts every refill whose remaining sum the smaller distinct parts
-cannot reach.
+The public constructor sorts and validates its parts; only the two
+partition walks store their own output unchecked, in place, because they
+build each part tuple sorted and positive.  Both keep the parts in one
+preallocated array in which every entry past the last part greater than 1
+is a 1, so they never write, count or delete trailing 1s, and both keep the
+reverse-lexicographic order.  Unrestricted partitions take the textbook
+ZS1 step of Zoghbi and Stojmenovic; strict and odd partitions take a refill
+loop that also cuts every strict refill whose remaining sum the smaller
+distinct parts cannot reach.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ class Partition:
             if type(part) is not int or part < 1:  # bool is an int subclass
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         self.parts = ordered
-
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Store ``parts`` unchecked: a non-increasing tuple of positive ints,
-        built so by the caller.  Only ``_walk`` calls this."""
-        p = object.__new__(cls)
-        p.parts = parts
-        return p
 
     @property
     def size(self) -> int:
@@ -168,15 +161,21 @@ def k_measure(p: Partition, k: int) -> int:
 
     Greedy from the largest part; on a sorted list this greedy choice is
     optimal (cross-checked against exhaustive search in the test suite).
+    The scan stops once no positive part can follow the last one taken.
     """
     if type(k) is not int or k < 1:  # bool is an int subclass
         raise ValueError("k must be a positive integer")
+    parts = p.parts
+    if not parts:
+        return 0
     count = 0
-    last: int | None = None
-    for part in p.parts:
-        if last is None or last - part >= k:
+    bound = parts[0] + 1  # the next part taken must be below this
+    for part in parts:
+        if part < bound:
             count += 1
-            last = part
+            bound = part - k + 1
+            if bound <= 1:
+                break  # no positive part is below it, so the rest of the scan adds nothing
     return count
 
 
@@ -201,20 +200,27 @@ def partitions(
     partitions and ``odd`` to partitions into odd parts, which are
     generated directly rather than filtered.  The stream is deterministic.
 
-    One loop over a preallocated array ``x = [1] * n`` whose first m
-    entries are the parts, with h the index of the last part greater than
-    1 and ``x[i] == 1`` for every i > h, so trailing 1s are never written,
-    counted or deleted.  Fill greedily from h + 1 with as many copies of
-    the largest allowed part as fit (one when ``distinct``), where a fill
-    of 1s only moves m, and yield at ``n``; on a dead end or after a yield,
-    reset the part x[h] = p to 1 and refill with parts up to p - 1 (p - 2
-    when ``odd``).  This is Zoghbi and Stojmenovic's ZS1 step: it keeps
-    the reverse-lexicographic order, which the ascending AccelAsc walk
-    would not, and takes O(1) amortized steps per partition only when the
-    parts are unrestricted.  When ``distinct``, a refill that cannot reach
-    the remaining sum, because it exceeds top + (top - 1) + ... + 1 (the
-    odd terms only, ((top + 1) // 2) ** 2, when ``odd``), is a dead end
-    before any part is written.
+    Two loops do the walk.  Each keeps a preallocated array ``x = [1] * n``
+    whose first m entries are the parts, with h the index of the last part
+    greater than 1 and ``x[i] == 1`` for every i > h, so trailing 1s are
+    never written, counted or deleted.  Both keep the reverse-lexicographic order, which
+    the ascending AccelAsc walk would not, and store each yielded tuple
+    unchecked, in place, because they build it sorted and positive.
+
+    Unrestricted partitions take Zoghbi and Stojmenovic's ZS1 step, O(1)
+    amortized per partition: after a greedy first fill under the cap, a
+    last part x[h] == 2 becomes 1 + 1, and a larger x[h] drops to
+    r = x[h] - 1 with the freed sum refilled by copies of r and one smaller
+    remainder.  Only the first fill meets the cap.
+
+    Strict and odd partitions take a refill loop: fill greedily from h + 1
+    with as many copies of the largest allowed part as fit (one when
+    ``distinct``), where a fill of 1s only moves m, and yield at ``n``; on
+    a dead end or after a yield, reset the part x[h] = p to 1 and refill
+    with parts up to p - 1 (p - 2 when ``odd``).  When ``distinct``, a
+    refill that cannot reach the remaining sum, because it exceeds
+    top + (top - 1) + ... + 1 (the odd terms only, ((top + 1) // 2) ** 2,
+    when ``odd``), is a dead end before any part is written.
     """
     if type(n) is not int:  # bool is an int subclass
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -225,10 +231,55 @@ def partitions(
             raise ValueError(f"max_part must be an integer or None, got {max_part!r}")
         if max_part < 0:
             raise ValueError("max_part must be nonnegative")
-    return _walk(n, n if max_part is None else max_part, distinct, odd)
+    top = n if max_part is None else max_part
+    if distinct or odd:
+        return _refill(n, top, distinct, odd)
+    return _zs1(n, top)
 
 
-def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
+def _zs1(n: int, top: int) -> Iterator[Partition]:
+    new = object.__new__
+    top = min(top, n)
+    if not top and n:
+        return  # a cap of 0 leaves no part to use
+    x = [1] * n  # the parts are x[:m], and x[i] == 1 for every i > h
+    # the greedy first fill: copies of top, then the rest; nothing when n == 0
+    m, rest = divmod(n, top) if top else (0, 0)
+    x[:m] = [top] * m
+    h = m - 1 if top > 1 else -1  # index of the last part greater than 1
+    if rest:
+        x[m] = rest
+        m += 1
+        if rest > 1:
+            h = m - 1
+    while True:
+        p = new(Partition)
+        p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
+        yield p
+        if h < 0:
+            return  # only 1s are left
+        if x[h] == 2:
+            x[h] = 1  # 2 becomes 1 + 1, and the new 1 is already in place
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            x[h] = r
+            t = m - h  # the freed sum: the 1 taken off x[h] and the trailing 1s
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1  # the remainder t < r, a 1 already in place or a part of its own
+                if t > 1:
+                    h += 1
+                    x[h] = t
+
+
+def _refill(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
+    new = object.__new__
     step = 2 if odd else 1
     x = [1] * n  # the parts are x[:m], and x[i] == 1 for every i > h
     h = -1  # index of the last part greater than 1
@@ -260,8 +311,9 @@ def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
                 remaining -= top * copies
             h = m - 1
         if not remaining:
-            # a fresh tuple each time: x keeps changing after the yield
-            yield Partition._trusted(tuple(x[:m]))
+            p = new(Partition)
+            p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
+            yield p
         if h < 0:
             return  # only 1s are left, and a 1 has no smaller part to retry with
         part = x[h]

@@ -85,7 +85,9 @@ class MultiSeries:
         if self.order != other.order:
             raise ValueError("series truncation orders differ")
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
+    def __add__(self, other):
+        if not isinstance(other, MultiSeries):
+            return NotImplemented
         self._require_compatible(other)
         merged = dict(self.terms)
         for key, coeff in other.terms.items():

@@ -162,6 +162,11 @@ class TestKMeasure:
         assert k_measure(parse("7+6+6+5+1+1"), 2) == 3
         assert k_measure(parse("14+13+11+9+6+5+4+2+1"), 2) == 6
         assert k_measure(parse("3+3+2"), 1) == 2
+        # every part at most k: only the largest is taken
+        assert k_measure(parse("2+2+1"), 2) == 1
+        assert k_measure(parse("1+1+1"), 3) == 1
+        assert k_measure(parse("3+2+1"), 3) == 1
+        assert k_measure(Partition(), 2) == 0
 
     def test_one_measure_counts_distinct_values(self):
         for n in range(26):
@@ -171,7 +176,7 @@ class TestKMeasure:
     def test_greedy_matches_dp_oracle(self):
         for n in range(19):
             for p in partitions(n):
-                for k in (1, 2, 3):
+                for k in (1, 2, 3, 4, 5):
                     assert k_measure(p, k) == longest_gapped_dp(p.parts, k), (p, k)
 
     def test_greedy_matches_exhaustive_oracle_small(self):
@@ -260,6 +265,12 @@ class TestGenerator:
                     family = {"max_part": max_part, "distinct": distinct, "odd": odd}
                     walked = [p.parts for p in partitions(n, **family)]
                     assert walked == list(_reference_partitions(n, **family)), (n, family)
+        # the unrestricted family has its own loop, whose first fill alone
+        # meets the cap, so its order is checked further out
+        for n in range(23, 31):
+            for max_part in (None, 0, 2, n // 2, n + 3):
+                walked = [p.parts for p in partitions(n, max_part=max_part)]
+                assert walked == list(_reference_partitions(n, max_part)), (n, max_part)
 
     def test_walk_yields_canonical_unaliased_partitions(self):
         # the walk stores each part array unchecked, so it must already be the

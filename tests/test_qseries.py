@@ -87,12 +87,16 @@ class TestRingOps:
             MultiSeries(3, {(-1, 0, 0): 1})
 
     def test_scalar_and_pow(self):
-        # a series multiplies only another series; an int is not promoted
+        # a series adds and multiplies only another series; an int is not promoted
         a = MultiSeries.term(2, ORDER, q=1)
         with pytest.raises(TypeError):
             3 * a
         with pytest.raises(TypeError):
             a * 3
+        with pytest.raises(TypeError):
+            a + 3
+        with pytest.raises(TypeError):
+            3 + a
 
 
 class TestInvert:

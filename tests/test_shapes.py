@@ -259,7 +259,7 @@ class TestAlternatingIndex:
 
 
 def test_statistics_build_no_intermediate(monkeypatch):
-    # the walk stores through Partition._trusted, so only a statistic that
+    # the walks store each Partition in place, so only a statistic that
     # builds an intermediate Partition or diagram reaches these
     def refuse(self, *args):
         raise AssertionError(f"a statistic constructed a {type(self).__name__}")

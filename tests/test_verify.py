@@ -506,18 +506,36 @@ class TestReports:
 
 class TestTrustedConstruction:
     def test_only_producers_of_the_invariant_skip_checks(self):
-        # Partition._trusted and MultiSeries._trusted store their input
-        # unchecked, so only the walk and the two binomial steps, which build
-        # a valid result themselves, may reach them; every reference counts,
-        # the name as a string too, so an alias cannot widen the path either
+        # object.__new__ skips a constructor's checks, so only the two walks,
+        # which build each Partition in place, and MultiSeries._trusted, which
+        # the two binomial steps call with a valid result, may reach it; every
+        # reference counts, the name as a string too, so an alias cannot widen
+        # the path either
         uses = _package_uses(
-            lambda node: getattr(node, "attr", None) == "_trusted"
-            or (isinstance(node, ast.Constant) and node.value == "_trusted")
+            lambda node: getattr(node, "attr", None) in ("__new__", "_trusted")
+            or (isinstance(node, ast.Constant) and node.value in ("__new__", "_trusted"))
         )
         assert sorted((path, owner, ast.unparse(node)) for path, owner, node in uses) == [
-            ("core.py", "_walk", "Partition._trusted"),
+            ("core.py", "_refill", "object.__new__"),
+            ("core.py", "_zs1", "object.__new__"),
             ("qseries.py", "_over_binomial", "MultiSeries._trusted"),
             ("qseries.py", "_times_binomial", "MultiSeries._trusted"),
+            ("qseries.py", "_trusted", "object.__new__"),
+        ]
+        # and only the checking constructor and those two walks store parts
+        stores = _package_uses(
+            lambda node: (
+                isinstance(node, ast.Attribute)
+                and node.attr == "parts"
+                and not isinstance(node.ctx, ast.Load)
+            )
+            or getattr(node, "id", None) == "setattr"
+            or getattr(node, "attr", None) == "__setattr__"
+        )
+        assert sorted((path, owner, ast.unparse(node)) for path, owner, node in stores) == [
+            ("core.py", "__init__", "self.parts"),
+            ("core.py", "_refill", "p.parts"),
+            ("core.py", "_zs1", "p.parts"),
         ]
 
 
