@@ -2,20 +2,23 @@
 
 MultiSeries is the working ring: coefficients are Python ints (arbitrary
 precision) and q-exponents are truncated at an inclusive order N, the only
-truncation; x and y exponents are never cut.  Every q-product is built
-one binomial factor (1 - c q^s x^a y^b) at a time by two O(terms) steps:
-multiplying by it is one shifted add, and dividing by it (s >= 1) walks the
-exact recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q, so no
-inverse series is ever formed.  The public constructor validates every
-exponent; only the two binomial steps store their own output unchecked
-(dropping cancelled zeros), because their bounds keep every exponent
-nonnegative and within the order.  Every named series is one of two sums: a
-double sum in nested Horner form over binomial steps, or one recurrence
-loop, which QBINOM runs as the Pochhammer builders do.  XQ2's Gaussian
-binomials are binomial steps too, truncated at their degree; there is no
-q-Pascal table.  LaurentPoly quarantines the negative q-powers required by
-the terminating hypergeometric checks; MultiSeries never holds a negative
-exponent.  No floating point anywhere.
+truncation; x and y exponents are never cut.  Every q-product is built from
+runs of binomial factors (1 - c q^s x^a y^b), one shift s per factor and c,
+a, b shared, by two steps that cost O(terms) per factor: multiplying by a
+factor is one shifted add, and dividing by it (s >= 1) walks the exact
+recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q, so no inverse
+series is ever formed.  A division run keeps one working dict and one index
+of its keys by q-level across all its factors; a product run takes one copy
+per factor.  The public constructor validates every exponent; only the two
+binomial steps store their own output unchecked and uncopied, with no zero
+coefficient, because their bounds keep every exponent nonnegative and
+within the order.  Every named series is one of two sums: a double sum in
+nested Horner form over one-factor runs, or one recurrence loop, which
+QBINOM runs as the Pochhammer builders do; the product envelopes are one
+run each.  XQ2's Gaussian binomials are two runs, truncated at their
+degree; there is no q-Pascal table.  LaurentPoly quarantines the negative
+q-powers required by the terminating hypergeometric checks; MultiSeries
+never holds a negative exponent.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -57,12 +60,12 @@ class MultiSeries:
 
     @classmethod
     def _trusted(cls, order: int, terms: dict[Key, int]) -> "MultiSeries":
-        """Store ``terms`` unchecked except that zero coefficients are dropped:
-        every exponent must already be nonnegative with q <= order.  Only the
-        binomial steps call this."""
+        """Store ``terms`` as given, unchecked and uncopied: every exponent
+        must already be nonnegative with q <= order, and no coefficient 0.
+        Only the binomial steps call this, each with a dict of its own."""
         series = object.__new__(cls)
         series.order = order
-        series.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        series.terms = terms
         return series
 
     # -- constructors ------------------------------------------------------
@@ -144,45 +147,70 @@ class MultiSeries:
 
     # -- binomial steps ------------------------------------------------------
 
-    def _times_binomial(self, c: int, s: int, a: int, b: int) -> "MultiSeries":
-        """This series times (1 - c q^s x^a y^b): one shifted add."""
-        if s < 0 or a < 0 or b < 0:
-            raise ValueError(f"negative exponent in binomial {(s, a, b)}")
-        out = dict(self.terms)
-        limit = self.order - s
-        for (q, x, y), coeff in self.terms.items():
-            if q <= limit:
-                key = (q + s, x + a, y + b)
-                out[key] = out.get(key, 0) - c * coeff
-        return MultiSeries._trusted(self.order, out)
+    def _times_binomial(self, c: int, shifts, a: int, b: int) -> "MultiSeries":
+        """This series times (1 - c q^s x^a y^b) for each s in ``shifts``, in
+        order: one shifted add per factor, each into a fresh copy of the
+        previous factor's terms, deleting a coefficient as soon as it
+        cancels."""
+        if a < 0 or b < 0:
+            raise ValueError(f"negative exponent in binomial {(a, b)}")
+        order = self.order
+        out = self.terms
+        for s in shifts:
+            if s < 0:
+                raise ValueError(f"negative exponent in binomial {(s, a, b)}")
+            source, out = out, dict(out)
+            limit = order - s
+            for (q, x, y), coeff in source.items():
+                if q <= limit:
+                    key = (q + s, x + a, y + b)
+                    total = out.get(key, 0) - c * coeff
+                    if total:
+                        out[key] = total
+                    else:
+                        del out[key]
+        if out is self.terms:  # an empty run
+            out = dict(out)
+        return MultiSeries._trusted(order, out)
 
-    def _over_binomial(self, c: int, s: int, a: int, b: int) -> "MultiSeries":
-        """This series divided by (1 - c q^s x^a y^b), by the exact
-        recurrence g[k] = f[k] + c g[k - (s, a, b)].
+    def _over_binomial(self, c: int, shifts, a: int, b: int) -> "MultiSeries":
+        """This series divided by (1 - c q^s x^a y^b) for each s in
+        ``shifts``, in order, each by the exact recurrence
+        g[k] = f[k] + c g[k - (s, a, b)].
 
-        The terms are walked level by level in q, so each g[k] is final
-        before it feeds k + (s, a, b) on a higher level.  A shift with s < 1
-        gives no such order, and no inverse, so it is rejected.
+        One working dict and one index of its keys by q-level serve the
+        whole run; each new key joins its level.  The levels are walked in
+        increasing q, so each g[k] is final before it feeds k + (s, a, b)
+        on a higher level.  A coefficient that cancels stays as 0, and is
+        skipped, until the run ends: deleted, it could join its level a
+        second time.  A shift with s < 1 gives no such order, and no
+        inverse, so it is rejected.
         """
-        if s < 0 or a < 0 or b < 0:
-            raise ValueError(f"negative exponent in binomial {(s, a, b)}")
-        if s < 1:
-            raise ValueError("binomial is not invertible under this truncation")
+        if a < 0 or b < 0:
+            raise ValueError(f"negative exponent in binomial {(a, b)}")
         order = self.order
         out = dict(self.terms)
         levels: list[list[Key]] = [[] for _ in range(order + 1)]
         for key in out:
             levels[key[0]].append(key)
-        for level in range(order + 1 - s):
-            above = levels[level + s]
-            for key in levels[level]:
-                q, x, y = key
-                shifted = (q + s, x + a, y + b)
-                if shifted in out:
-                    out[shifted] += c * out[key]
-                else:
-                    out[shifted] = c * out[key]
-                    above.append(shifted)
+        for s in shifts:
+            if s < 1:
+                raise ValueError(f"binomial {(s, a, b)} is not invertible under this truncation")
+            for level in range(order + 1 - s):
+                above = levels[level + s]
+                for key in levels[level]:
+                    coeff = out[key]
+                    if not coeff:
+                        continue
+                    q, x, y = key
+                    shifted = (q + s, x + a, y + b)
+                    if shifted in out:
+                        out[shifted] += c * coeff
+                    else:
+                        out[shifted] = c * coeff
+                        above.append(shifted)
+        for key in [key for key, coeff in out.items() if not coeff]:
+            del out[key]
         return MultiSeries._trusted(order, out)
 
     # -- inspection ----------------------------------------------------------
@@ -220,23 +248,18 @@ def pochhammer(a: Monomial, step: int, n: int | None, order: int) -> MultiSeries
         raise ValueError(f"n must be nonnegative, got {n}")
     if n is None and a.q < 1:
         raise ValueError("infinite product diverges for this monomial")
-    result = MultiSeries.one(order)
-    k = 0
     # the q-shifts only grow, so the first factor past the order ends the product
-    while (n is None or k < n) and (shift := a.q + step * k) <= order:
-        result = result._times_binomial(a.coeff, shift, a.x, a.y)
-        k += 1
-    return result
+    stop = order + 1 if n is None else min(order + 1, a.q + step * n)
+    return MultiSeries.one(order)._times_binomial(a.coeff, range(a.q, stop, step), a.x, a.y)
 
 
 def _gauss(n: int, i: int) -> MultiSeries:
-    """The Gaussian binomial [n, i]_q for 0 <= i <= n, as the product of
-    (1 - q^(n-i+k)) / (1 - q^k) over k = 1..i in binomial steps.  Truncating
-    at its degree i(n - i) loses nothing."""
-    result = MultiSeries.one(i * (n - i))
-    for k in range(1, i + 1):
-        result = result._times_binomial(1, n - i + k, 0, 0)._over_binomial(1, k, 0, 0)
-    return result
+    """The Gaussian binomial [n, i]_q for 0 <= i <= n: the product of
+    (1 - q^(n-i+k)) over k = 1..i in one binomial run, divided by
+    (1 - q^k) over k = 1..i in another.  Truncating at its degree i(n - i)
+    loses nothing."""
+    numerator = MultiSeries.one(i * (n - i))._times_binomial(1, range(n - i + 1, n + 1), 0, 0)
+    return numerator._over_binomial(1, range(1, i + 1), 0, 0)
 
 
 # -- named series builders ---------------------------------------------------
@@ -263,10 +286,10 @@ def _double_sum(order: int, cells) -> MultiSeries:
         for i in range(max(row, default=0), -1, -1):
             inner = inner + MultiSeries(order, Counter(row.get(i, ())))
             if i:
-                inner = inner._over_binomial(1, i, 0, 0)
+                inner = inner._over_binomial(1, (i,), 0, 0)
         total = total + inner
         if j:
-            total = total._over_binomial(1, 2 * j, 0, 0)
+            total = total._over_binomial(1, (2 * j,), 0, 0)
     return total
 
 
@@ -282,8 +305,8 @@ def _term_sum(order: int, head, a: Monomial, step: int) -> MultiSeries:
             total[key] = total.get(key, 0) + coeff
         h = head(n)
         term = MultiSeries.term(h.coeff, order, q=h.q, x=h.x, y=h.y) * term
-        term = term._times_binomial(a.coeff, a.q + step * n, a.x, a.y)
-        term = term._over_binomial(1, n + 1, 0, 0)
+        term = term._times_binomial(a.coeff, (a.q + step * n,), a.x, a.y)
+        term = term._over_binomial(1, (n + 1,), 0, 0)
         n += 1
     return MultiSeries(order, total)
 
@@ -312,18 +335,14 @@ def build_k_measure_gf(k: int, order: int) -> MultiSeries:
     if type(k) is not int or k < 1:  # bool is an int subclass
         raise ValueError("k must be a positive integer")
     total = _term_sum(order, lambda n: Monomial(-1, y=1, q=1), Monomial(1, x=1), k)
-    for shift in range(1, order + 1):
-        total = total._times_binomial(-1, shift, 0, 1)
-    return _assert_y_bounded(total)
+    return _assert_y_bounded(total._times_binomial(-1, range(1, order + 1), 0, 1))
 
 
 def build_all_partitions_2measure_gf(order: int) -> MultiSeries:
     """All partitions counted by x^(2-measure) y^length q^size:
     1/(yq; q)_inf times sum_n (-y)^n q^(n(n+1)/2) (x; q)_n / (q; q)_n."""
     total = _term_sum(order, lambda n: Monomial(-1, y=1, q=n + 1), Monomial(1, x=1), 1)
-    for shift in range(1, order + 1):
-        total = total._over_binomial(1, shift, 0, 1)
-    return _assert_y_bounded(total)
+    return _assert_y_bounded(total._over_binomial(1, range(1, order + 1), 0, 1))
 
 
 def build_durfee_type_gf(order: int) -> MultiSeries:
@@ -459,7 +478,9 @@ class LaurentPoly:
             result = result * (cls.one() - cls.term(coeff, q=q_start + step * t, x=x))
         return result
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0) + coeff
@@ -474,6 +495,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly({k: other * c for k, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (q1, x1), c1 in self.terms.items():
             for (q2, x2), c2 in other.terms.items():
@@ -511,8 +534,7 @@ def check_qbinom(a: Monomial, order: int) -> dict:
     top = 2 * order
     lhs = _term_sum(top, lambda m: Monomial(1, x=1, q=1), a, 1)
     rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q + 1), 1, None, top)
-    for shift in range(1, top + 1):
-        rhs = rhs._over_binomial(1, shift, 1, 0)
+    rhs = rhs._over_binomial(1, range(1, top + 1), 1, 0)
     return {"terms": compare_series(lhs, rhs)}
 
 

@@ -135,8 +135,11 @@ class TestInvert:
             (MultiSeries.one(ORDER) + MultiSeries.term(1, ORDER, x=1)).invert()
 
 
-binomials = st.tuples(
-    st.sampled_from([1, -1, 2, -3]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)
+binomial_runs = st.tuples(
+    st.sampled_from([1, -1, 2, -3]),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 2),
 )
 
 
@@ -149,35 +152,55 @@ def one_minus(c, s, a, b):
 
 
 class TestBinomialSteps:
-    """The two O(terms) steps against full products with invert()."""
+    """The two O(terms) binomial runs against products of one-factor
+    references, with invert() for division."""
 
     @settings(max_examples=60)
-    @given(small_series, binomials)
+    @given(small_series, binomial_runs)
     # f holds both k and k + shift, with c != 1
-    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (2, 1, 0, 0))
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (2, [1], 0, 0))
     # coefficients cancel: (1 + q)(1 - q) drops q^1, and (1 - q)/(1 - q) is 1
-    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (1, 1, 0, 0))
-    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), -1)]), (1, 1, 0, 0))
-    def test_steps_match_products(self, f, m):
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), 1)]), (1, [1], 0, 0))
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 0), -1)]), (1, [1], 0, 0))
+    # cancel, then refill: dividing 1 - yq by (1 - yq) twice gives 1/(1 - yq);
+    # the first shift leaves y q^1 at 0, and the second must fill it once
+    @example(series_from_terms([((0, 0, 0), 1), ((1, 0, 1), -1)]), (1, [1, 1], 0, 1))
+    # an empty run is a copy
+    @example(series_from_terms([((0, 0, 0), 1), ((2, 1, 0), 3)]), (1, [], 0, 0))
+    def test_steps_match_products(self, f, run):
         # the steps store their output unchecked, so each result must be
-        # what the checked constructor makes of its terms, with no zero kept
-        results = [(f._times_binomial(*m), f * one_minus(*m))]
-        if m[1] >= 1:
-            results.append((f._over_binomial(*m), f * one_minus(*m).invert()))
+        # what the checked constructor makes of its terms, with no zero
+        # kept, in a dict of its own
+        c, shifts, a, b = run
+        times = over = f
+        for s in shifts:
+            times = times * one_minus(c, s, a, b)
+            if s >= 1:
+                over = over * one_minus(c, s, a, b).invert()
+        results = [(f._times_binomial(c, shifts, a, b), times)]
+        if all(s >= 1 for s in shifts):
+            results.append((f._over_binomial(c, shifts, a, b), over))
         for result, reference in results:
             assert result == reference
             assert result == MultiSeries(ORDER, result.terms)
             assert all(result.terms.values())
+            assert result.terms is not f.terms
 
     def test_steps_reject_bad_binomials(self):
         f = MultiSeries.one(ORDER)
         with pytest.raises(ValueError):
             pochhammer(Monomial(1, q=-1), 1, 3, 5)
+        # a negative exponent anywhere in the run, also after valid shifts
         for step in (f._times_binomial, f._over_binomial):
+            for shifts, a, b in (
+                ((-1,), 0, 0), ((1, 2, -1), 0, 0), ((1,), -1, 0), ((1,), 0, -1), ((), -1, 0),
+            ):
+                with pytest.raises(ValueError):
+                    step(1, shifts, a, b)
+        # only q is truncated, so s = 0 has no inverse
+        for shifts in ((0,), (2, 0)):
             with pytest.raises(ValueError):
-                step(1, 1, -1, 0)
-        with pytest.raises(ValueError):
-            f._over_binomial(1, 0, 1, 0)  # only q is truncated, so s = 0 has no inverse
+                f._over_binomial(1, shifts, 1, 0)
 
     def test_no_builder_calls_invert(self, monkeypatch):
         # builders divide only by binomial steps and multiply a series only
@@ -495,6 +518,16 @@ class TestLaurentPoly:
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             LaurentPoly({(0, -1): 1})
+
+    def test_non_polynomial_operands_raise_type_error(self):
+        one = LaurentPoly.one()
+        assert one * 3 == 3 * one == LaurentPoly.term(3)
+        for expression in (
+            lambda: one + 3, lambda: 3 + one, lambda: one - 3, lambda: one * 2.5,
+            lambda: 2.5 * one, lambda: one + MultiSeries.one(3), lambda: one * MultiSeries.one(3),
+        ):
+            with pytest.raises(TypeError):
+                expression()
 
 
 class TestFiniteIdentities:
