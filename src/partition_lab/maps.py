@@ -282,19 +282,21 @@ def enumerate_labeled(n: int) -> list[LabeledPartition]:
     return found
 
 
-def _pairs(n: int, labeled: list[list[LabeledPartition]]):
+def _pairs(n: int, strict: list[list[Partition]], labeled: list[list[LabeledPartition]]):
     # the signed pairs of total size n in enumerate_pairs' order, where
-    # labeled[m] lists the labeled partitions of m for every m <= n
+    # strict[m] and labeled[m] list the strict and the labeled partitions
+    # of m for every m <= n
     for lam_size in range(n + 1):
         etas = labeled[n - lam_size]
-        for lam in partitions(lam_size, distinct=True):
+        for lam in strict[lam_size]:
             for eta in etas:
                 yield SignedPair(lam, eta)
 
 
 def enumerate_pairs(n: int) -> list[SignedPair]:
     """All signed pairs of total size ``n``."""
-    return list(_pairs(n, [enumerate_labeled(m) for m in range(n + 1)]))
+    strict = [list(partitions(m, distinct=True)) for m in range(n + 1)]
+    return list(_pairs(n, strict, [enumerate_labeled(m) for m in range(n + 1)]))
 
 
 def _pair_sort_key(pair: SignedPair):

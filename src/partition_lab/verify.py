@@ -1,18 +1,19 @@
 """Exhaustive partition-family enumeration and one checker per identity.
 
-Every check is exact: families are walked by ``core.partitions`` and
-tallied by statistic, and series are compared coefficientwise.  THM12,
-THM13 and COROLLARY tally odd partitions by the strict cell their Durfee
-statistics name, strict partitions by that cell's statistics, and compare
-the two.  Each ``check_*`` returns what it counted, or raises
-``Counterexample`` at the first failure; ``verify`` turns either into a
-``VerificationReport`` under the checker's name and bounds.
+Every check is exact: a checker walks each family and size once with
+``core.partitions`` and tallies by statistic (``_enumeration_series``
+returns one series per key from that one walk), and series are compared
+coefficientwise.  THM12, THM13 and COROLLARY tally odd partitions by the
+strict cell their Durfee statistics name, strict partitions by that cell's
+statistics, and compare the two.  Each ``check_*`` returns what it counted,
+or raises ``Counterexample`` at the first failure; ``verify`` turns either
+into a ``VerificationReport`` under the checker's name and bounds.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 from . import maps, qseries
 from .core import Partition, k_measure, parity_index, parse, partitions, sol
@@ -33,14 +34,16 @@ def enumerate_family(spec: FamilySpec):
     return partitions(spec.n, distinct=spec.strict, odd=spec.odd_parts)
 
 
-def _enumeration_series(order, key, **family) -> MultiSeries:
-    """Sum of q^n x^a y^b over ``partitions(n, **family)`` for n <= order,
-    where ``key(p)`` gives the exponents (a, b)."""
-    terms: dict[tuple[int, int, int], int] = {}
+def _enumeration_series(order, key, **family) -> list[MultiSeries]:
+    """One series per exponent pair in the flat tuple ``key(p)``, (a1, b1,
+    a2, b2, ...): series i sums q^n x^ai y^bi over ``partitions(n, **family)``
+    for n <= order.  One walk of each size tallies every pair."""
+    terms: defaultdict[int, Counter] = defaultdict(Counter)
     for n in range(order + 1):
-        for (a, b), count in Counter(map(key, partitions(n, **family))).items():
-            terms[(n, a, b)] = count
-    return MultiSeries(order, terms)
+        for cell, count in Counter(map(key, partitions(n, **family))).items():
+            for i in range(0, len(cell), 2):
+                terms[i][(n, cell[i], cell[i + 1])] += count
+    return [MultiSeries(order, series) for series in terms.values()]
 
 
 # -- checkers -------------------------------------------------------------------
@@ -67,19 +70,23 @@ def check_thm11(order: int) -> dict:
 def check_eq11(order: int) -> dict:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
-    expected = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
+    (expected,) = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
     return {"terms": compare_series(built, expected)}
 
 
 def check_eq31(order: int, k: int | None = None) -> dict:
-    """k-measure series against enumeration, for k in {1, 2, 3} by default."""
+    """k-measure series against enumeration, k in {1, 2, 3} by default, all from one walk."""
     ks = (k,) if k is not None else (1, 2, 3)
+
+    def key(p):
+        cell = ()
+        for kk in ks:
+            cell += (k_measure(p, kk), p.length)
+        return cell
+
     terms = 0
-    for kk in ks:
+    for kk, expected in zip(ks, _enumeration_series(order, key, distinct=True)):
         built = qseries.build("GF_KMEASURE", order, k=kk)
-        expected = _enumeration_series(
-            order, lambda p: (k_measure(p, kk), p.length), distinct=True
-        )
         terms += compare_series(built, expected, f"k={kk} ")
     return {"terms": terms}
 
@@ -87,7 +94,7 @@ def check_eq31(order: int, k: int | None = None) -> dict:
 def check_eq_2measure_p(order: int) -> dict:
     """2-measure series over all partitions against enumeration."""
     built = qseries.build("GF_2MEASURE_P", order)
-    expected = _enumeration_series(order, lambda p: (k_measure(p, 2), p.length))
+    (expected,) = _enumeration_series(order, lambda p: (k_measure(p, 2), p.length))
     return {"terms": compare_series(built, expected)}
 
 
@@ -167,7 +174,7 @@ def _check_against_sol_len(order, built, enumerated, reindex) -> dict:
 def check_gf4(order: int) -> dict:
     """Durfee-type series against enumeration and the reindexed sol/length series."""
     built = qseries.build("GF_A_TYPES", order)
-    enumerated = _enumeration_series(
+    (enumerated,) = _enumeration_series(
         order, lambda p: (dur2_sub(p)[1] if p else 0, dur2(p)), odd=True
     )
     return _check_against_sol_len(
@@ -178,7 +185,7 @@ def check_gf4(order: int) -> dict:
 def check_gf5(order: int) -> dict:
     """Alternating-index series against enumeration and the reindexed series."""
     built = qseries.build("GF_B", order)
-    enumerated = _enumeration_series(
+    (enumerated,) = _enumeration_series(
         order, lambda p: (alternating_index(p), dur2(p)), odd=True
     )
     return _check_against_sol_len(
@@ -249,17 +256,19 @@ def check_involution(nmax: int) -> dict:
     sign-reversing off fixed points, cases swapping, and the fixed-point
     weights matching strict partitions by 2-measure and length.
 
-    The pairs of each total size are streamed, not listed, from one
-    ``enumerate_labeled`` list per size.  Each pair and its image are
-    classified once, and the two cases serve every check."""
+    Pairs are streamed, not listed, from the strict and the labeled
+    partitions of each size, listed once and shared across sizes.  Each
+    pair and its image are classified once; the two cases serve every check."""
     pair_count = 0
+    strict: list[list[Partition]] = []
     labeled: list[list[maps.LabeledPartition]] = []
     for n in range(nmax + 1):
+        strict.append(list(partitions(n, distinct=True)))
         labeled.append(maps.enumerate_labeled(n))
         signed: dict[tuple[int, int], int] = {}  # a Counter's + would drop negative sums
         fixed_weights = Counter()
         fixed_pairs = []
-        for pair in maps._pairs(n, labeled):
+        for pair in maps._pairs(n, strict, labeled):
             pair_count += 1
             x, y, _q = weight = pair.weight
             sign = pair.sign
@@ -281,11 +290,10 @@ def check_involution(nmax: int) -> dict:
                     raise Counterexample(f"sign kept at {pair}")
             signed[(x, y)] = signed.get((x, y), 0) + sign
         signed = {k: v for k, v in signed.items() if v}
-        strict = list(partitions(n, distinct=True))
-        strict_weights = Counter((k_measure(t, 2), t.length) for t in strict)
+        strict_weights = Counter((k_measure(t, 2), t.length) for t in strict[n])
         if signed != strict_weights or fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")
-        if {maps.strict_to_fixed(t) for t in strict} != set(fixed_pairs):
+        if {maps.strict_to_fixed(t) for t in strict[n]} != set(fixed_pairs):
             raise Counterexample(f"fixed points at size {n} are not the strict partitions")
         for pair in fixed_pairs:
             if maps.strict_to_fixed(maps.fixed_to_strict(pair)) != pair:

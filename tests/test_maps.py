@@ -260,11 +260,22 @@ class TestEnumeration:
         assert len(pairs) == 2 * 43 + 4
 
     def test_checker_classifies_and_enumerates_once(self, monkeypatch):
-        # one enumerate_labeled call per total size, and one classification
-        # per pair and per image, plus the one fixed_to_strict makes at a
-        # fixed point (there is one fixed pair per strict partition)
-        calls = {"labeled": 0, "classify": 0}
+        # one enumerate_labeled call and one strict walk per total size, and
+        # one classification per pair and per image, plus the one
+        # fixed_to_strict makes at a fixed point (there is one fixed pair
+        # per strict partition)
+        calls = {"labeled": 0, "classify": 0, "strict": 0}
         real_labeled, real_classify = maps.enumerate_labeled, maps.classify_pair
+
+        def strict_walks(real):
+            def walk(n, **family):
+                calls["strict"] += family.get("distinct", False)
+                return real(n, **family)
+
+            return walk
+
+        for module in (maps, verify):
+            monkeypatch.setattr(module, "partitions", strict_walks(module.partitions))
 
         def labeled(m):
             calls["labeled"] += 1
@@ -279,6 +290,7 @@ class TestEnumeration:
         pairs = verify.check_involution(8)["pairs"]
         fixed = sum(1 for n in range(9) for _ in partitions(n, distinct=True))
         assert calls["labeled"] == 9
+        assert calls["strict"] == 9
         assert calls["classify"] <= 2 * pairs + fixed
 
 

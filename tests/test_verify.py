@@ -255,6 +255,17 @@ class TestCheckers:
                 "7: alt 1 != sol(image) 0",
             ),
             (
+                # one k's statistic off at two parts only: the joint tally
+                # must keep k = 3's cells out of the k = 1 and 2 series
+                verify_module,
+                "k_measure",
+                lambda real: lambda p, k: real(p, k) + (k == 3 and p.length == 2),
+                "EQ31",
+                {"order": 6},
+                "EQ31 order<=6 FAIL",
+                "k=3 q^3 x^1 y^2: built 1, expected 0",
+            ),
+            (
                 maps,
                 "glaisher",
                 lambda real: maps.sylvester,
@@ -300,6 +311,31 @@ class TestCheckers:
         assert report.line() == line
         assert report.witness == witness
         assert report.params == bounds and report.counts == {}
+
+    @pytest.mark.parametrize(
+        "name,bounds",
+        [
+            ("EQ31", {"order": 7}),
+            ("EQ31", {"order": 7, "k": 2}),
+            ("EQ11", {"order": 7}),
+            ("EQ_2MEASURE_P", {"order": 7}),
+            ("GF4", {"order": 7}),
+            ("GF5", {"order": 7}),
+        ],
+    )
+    def test_series_checker_walks_each_size_once(self, monkeypatch, name, bounds):
+        # one walk of each size serves every key: EQ31 tallies k = 1, 2
+        # and 3 from the same strict partitions, not one walk per k
+        walked = []
+        real = verify_module.partitions
+
+        def counted(n, **family):
+            walked.append(n)
+            return real(n, **family)
+
+        monkeypatch.setattr(verify_module, "partitions", counted)
+        assert verify(name, **bounds)
+        assert walked == list(range(bounds["order"] + 1))
 
     def test_verify_all_runs_every_checker(self, monkeypatch):
         # shrink the bounds so the full sweep stays fast
@@ -548,9 +584,10 @@ class TestExports:
 
     # another module's private names that a module reads, each with why
     PRIVATE_READS = {
-        "maps._pairs": "verify streams each size's pairs from labeled lists shared"
-        " across sizes; a public per-size stream would call enumerate_labeled"
-        " 91 times instead of 13 at desk bounds",
+        "maps._pairs": "verify streams each size's pairs from strict and labeled"
+        " lists shared across sizes; a public per-size stream would list both"
+        " again for every smaller size, 91 enumerate_labeled calls and 91"
+        " strict walks instead of 13 each at desk bounds",
     }
 
     def test_every_export_has_a_library_caller(self):
