@@ -24,55 +24,43 @@ from .shapes import (
 )
 
 
-def _stats_payload(p) -> dict:
-    data: dict[str, object] = {
-        "partition": str(p),
-        "size": p.size,
-        "length": p.length,
-        "strict": p.is_strict(),
-        "odd_parts": p.is_odd_parts(),
-        "Dur": durfee_side(p),
-        "Dur2": dur2(p),
-        "mu1": k_measure(p, 1),
-        "mu2": k_measure(p, 2),
-        "mu3": k_measure(p, 3),
-    }
+def _stats(p) -> tuple[dict, str]:
+    """Every statistic of ``p``, as the JSON payload and the text built
+    together in text order: ``sol`` for a strict partition, the sub-Durfee
+    sides (with their type) for a nonempty one, ``alt`` for odd parts."""
+    data: dict[str, object] = {"partition": str(p)}
+    lines = [f"partition: {p}"]
+
+    def add(key, value, kind=None):
+        data[key] = value
+        line = f"{key}={str(value).lower()}"
+        if kind is not None:
+            data[f"{key}_type"] = kind.value
+            line += f" (type {kind.value})"
+        lines.append(line)
+
+    add("size", p.size)
+    add("length", p.length)
+    add("strict", p.is_strict())
+    add("odd_parts", p.is_odd_parts())
+    if p.is_strict():
+        add("sol", sol(p))
+    add("Dur", durfee_side(p))
     if p:
         kind, side = sub_durfee_side(p)
-        data["dur"] = side
-        data["dur_type"] = kind.value
-        kind2, side2 = dur2_sub(p)
-        data["dur2"] = side2
-        data["dur2_type"] = kind2.value
-    if p.is_strict():
-        data["sol"] = sol(p)
+        add("dur", side, kind)
+    add("Dur2", dur2(p))
+    if p:
+        kind, side = dur2_sub(p)
+        add("dur2", side, kind)
+    for k in (1, 2, 3):
+        add(f"mu{k}", k_measure(p, k))
     if p.is_odd_parts():
-        data["alt"] = alternating_index(p)
-    return data
+        add("alt", alternating_index(p))
+    return data, "\n".join(lines)
 
 
-def _stats_text(data: dict) -> str:
-    lines = [f"partition: {data['partition']}"]
-    lines.append(f"size={data['size']}")
-    lines.append(f"length={data['length']}")
-    lines.append(f"strict={str(data['strict']).lower()}")
-    lines.append(f"odd_parts={str(data['odd_parts']).lower()}")
-    if "sol" in data:
-        lines.append(f"sol={data['sol']}")
-    lines.append(f"Dur={data['Dur']}")
-    if "dur" in data:
-        lines.append(f"dur={data['dur']} (type {data['dur_type']})")
-    lines.append(f"Dur2={data['Dur2']}")
-    if "dur2" in data:
-        lines.append(f"dur2={data['dur2']} (type {data['dur2_type']})")
-    for key in ("mu1", "mu2", "mu3"):
-        lines.append(f"{key}={data[key]}")
-    if "alt" in data:
-        lines.append(f"alt={data['alt']}")
-    return "\n".join(lines)
-
-
-def _emit(args, data: dict, text: str) -> None:
+def _emit(args, data, text: str) -> None:
     if args.format == "json":
         print(json.dumps(data, sort_keys=True))
     else:
@@ -80,38 +68,24 @@ def _emit(args, data: dict, text: str) -> None:
 
 
 def _cmd_stats(args) -> int:
-    data = _stats_payload(parse(args.partition))
-    _emit(args, data, _stats_text(data))
+    _emit(args, *_stats(parse(args.partition)))
     return 0
 
 
 def _cmd_map(args) -> int:
-    if args.name == "sylvester":
-        image = maps.sylvester(parse(args.argument))
-        _emit(args, {"map": "sylvester", "image": str(image)}, str(image))
-    elif args.name == "glaisher":
-        image = maps.glaisher(parse(args.argument))
-        _emit(args, {"map": "glaisher", "image": str(image)}, str(image))
-    elif args.name == "phi":
-        pair = maps.parse_pair(args.argument)
-        case, image = maps.involution_phi(pair)
-        data = {
-            "map": "phi",
-            "case": case.name,
-            "image": f"{image.lam}|{image.eta}",
-        }
-        _emit(args, data, f"{image.lam}|{image.eta} [{case.name}]")
+    if args.name == "phi":
+        case, image = maps.involution_phi(maps.parse_pair(args.argument))
+        shown = f"{image.lam}|{image.eta}"
+        _emit(args, {"map": "phi", "case": case.name, "image": shown}, f"{shown} [{case.name}]")
+    else:  # sylvester or glaisher, a function of the same name in maps
+        image = str(getattr(maps, args.name)(parse(args.argument)))
+        _emit(args, {"map": args.name, "image": image}, image)
     return 0
 
 
 def _cmd_series(args) -> int:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.m is not None:
-        params["m"] = args.m
-    series = qseries.build(args.name, args.order, **params)
-    text = series.serialize()
+    params = {key: value for key, value in (("k", args.k), ("m", args.m)) if value is not None}
+    text = qseries.build(args.name, args.order, **params).serialize()
     _emit(
         args,
         {"series": args.name, "order": args.order, "terms": text.splitlines()},
@@ -129,11 +103,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"verify all runs at profile bounds; it does not accept {given}")
     else:
         reports = verify.verify_all(profile=args.profile)
-    if args.format == "json":
-        print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
-    else:
-        for report in reports:
-            print(report.text() if not report.passed else report.line())
+    _emit(args, [r.to_dict() for r in reports], "\n".join(r.text() for r in reports))
     return 0 if all(reports) else 1
 
 
@@ -146,20 +116,17 @@ def _cmd_table(args) -> int:
 def _cmd_examples(args) -> int:
     sets = verify.example_sets(args.preset)
     data = {key: [str(p) for p in values] for key, values in sets.items()}
-    lines = []
-    for key in ("A", "B", "D"):
-        lines.append(f"{key}: " + ", ".join(data[key]))
-    _emit(args, {"preset": args.preset, "sets": data}, "\n".join(lines))
+    text = "\n".join(f"{key}: " + ", ".join(values) for key, values in data.items())
+    _emit(args, {"preset": args.preset, "sets": data}, text)
     return 0
 
 
 def _cmd_diagram(args) -> int:
-    border = Border.RIGHT_BORDER if args.border == "right" else Border.LAST_CELL
-    diagram = modular2_diagram(parse(args.partition), border)
+    text = modular2_diagram(parse(args.partition), Border(args.border)).render()
     _emit(
         args,
-        {"partition": args.partition, "border": args.border, "rows": diagram.render().splitlines()},
-        diagram.render(),
+        {"partition": args.partition, "border": args.border, "rows": text.splitlines()},
+        text,
     )
     return 0
 

@@ -80,13 +80,10 @@ class VerificationReport:
         return f"{head} {self.status}"
 
     def text(self) -> str:
-        """Multi-line human-readable rendering."""
-        lines = [self.line()]
-        for key, value in self.counts.items():
-            lines.append(f"  {key}: {value}")
-        if self.witness is not None:
-            lines.append(f"  counterexample: {self.witness}")
-        return "\n".join(lines)
+        """The verdict line, and under a failing one its witness."""
+        if self.witness is None:
+            return self.line()
+        return f"{self.line()}\n  counterexample: {self.witness}"
 
     def to_dict(self) -> dict:
         return {

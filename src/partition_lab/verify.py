@@ -265,7 +265,7 @@ def check_involution(nmax: int) -> dict:
     for n in range(nmax + 1):
         strict.append(list(partitions(n, distinct=True)))
         labeled.append(maps.enumerate_labeled(n))
-        signed: dict[tuple[int, int], int] = {}  # a Counter's + would drop negative sums
+        signed = Counter()
         fixed_weights = Counter()
         fixed_pairs = []
         for pair in maps._pairs(n, strict, labeled):
@@ -288,8 +288,7 @@ def check_involution(nmax: int) -> dict:
                     raise Counterexample(f"case does not swap at {pair}")
                 if image.sign != -sign:
                     raise Counterexample(f"sign kept at {pair}")
-            signed[(x, y)] = signed.get((x, y), 0) + sign
-        signed = {k: v for k, v in signed.items() if v}
+            signed[(x, y)] += sign
         strict_weights = Counter((k_measure(t, 2), t.length) for t in strict[n])
         if signed != strict_weights or fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")
@@ -476,8 +475,9 @@ DESK_PROFILE = {
 }
 
 
-# smallest bound each keyword may take; below it a checker would check nothing
-_LEAST_BOUND = {"nmax": 0, "order": 0, "mmax": 1}
+# smallest value each bound may take; below it a checker would check nothing,
+# or, for k, ask for a k-measure that does not exist
+_LEAST_BOUND = {"nmax": 0, "order": 0, "k": 1, "mmax": 1}
 
 
 def verify(name: str, **bounds) -> VerificationReport:

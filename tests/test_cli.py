@@ -1,22 +1,89 @@
 """Command-line interface: output content, formats, and exit codes."""
 
+import contextlib
 import io
 import json
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from partition_lab import cli
+from partition_lab import verify as verify_module
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRANSCRIPT = DATA / "cli_transcript.txt"
+
+# every subcommand in text and in JSON, then two usage errors
+TRANSCRIPT_COMMANDS = [
+    fmt + argv
+    for argv in (
+        ("stats", "7+6+6+5+1+1"),
+        ("stats", "7+6+5+2+1"),
+        ("stats", "9+7+7+5+1+1"),
+        ("stats", "0"),
+        ("map", "sylvester", "9+7+7+5+1+1"),
+        ("map", "glaisher", "3+3+3"),
+        ("map", "phi", "0|6"),
+        ("map", "phi", "3+2|6x+3+3+1x"),
+        ("map", "phi", "2|3x+1x"),
+        ("series", "GF_SOL_LEN", "--order", "4"),
+        ("series", "GF_KMEASURE", "--order", "6", "--k", "2"),
+        ("series", "GF_PARITY", "--order", "6", "--m", "2"),
+        ("verify", "THM11", "--order", "5"),
+        ("verify", "EQ31", "--k", "2", "--order", "6"),
+        ("examples", "16-4-2"),
+        ("examples", "15-3-1"),
+        ("diagram", "9+7+7+5+1+1"),
+        ("diagram", "9+7+7+5+1+1", "--border", "right"),
+        ("table", "involution", "--n", "4"),
+    )
+    for fmt in ((), ("--format", "json"))
+] + [
+    ("stats", "5+7"),
+    ("--format", "json", "verify", "LEMMA51", "--order", "9", "--m", "10"),
+]
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def replay(argv):
+    """(exit code, stdout, stderr) of one command through ``cli.main``, with
+    the checkers' clock stopped so that every ``elapsed_s`` reads 0.0."""
+    out, err = io.StringIO(), io.StringIO()
+    stopped = SimpleNamespace(perf_counter=lambda: 0.0)
+    with (
+        mock.patch.object(verify_module, "time", stopped),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def transcript_block(argv) -> str:
+    """One command's transcript entry: the command, its exit code, then each
+    stream split at every newline, one ``|``-prefixed line per piece, so a
+    missing or extra final newline shows too."""
+    code, out, err = replay(argv)
+    lines = [f"$ partition-lab {shlex.join(argv)}", f"exit {code}"]
+    for name, text in (("stdout", out), ("stderr", err)):
+        lines.append(f"{name}:")
+        lines.extend(f"|{piece}" for piece in text.split("\n"))
+    return "\n".join(lines)
+
+
+def transcript() -> str:
+    """The whole transcript of ``TRANSCRIPT_COMMANDS``, blocks split by a
+    blank line; ``tests/data/cli_transcript.txt`` holds it as recorded."""
+    return "\n\n".join(map(transcript_block, TRANSCRIPT_COMMANDS)) + "\n"
 
 
 def readme_commands():
@@ -47,6 +114,25 @@ class TestReadme:
                 assert out.strip() == expected, line
                 compared += 1
         assert compared == 3
+
+
+class TestTranscript:
+    # the file is the reference output, not regenerated to make this pass;
+    # only a deliberate change of output writes ``transcript()`` to it again
+    RECORDED = {
+        block.partition("\n")[0]: block
+        for block in TRANSCRIPT.read_text().removesuffix("\n").split("\n\n")
+    }
+
+    def test_recorded_commands_are_the_listed_ones(self):
+        heads = [f"$ partition-lab {shlex.join(argv)}" for argv in TRANSCRIPT_COMMANDS]
+        assert list(self.RECORDED) == heads
+
+    @pytest.mark.parametrize("argv", TRANSCRIPT_COMMANDS, ids=shlex.join)
+    def test_output_matches_recording(self, argv):
+        # exit code, stdout and stderr, byte for byte
+        block = transcript_block(argv)
+        assert block == self.RECORDED[block.partition("\n")[0]]
 
 
 class TestStats:
@@ -148,6 +234,7 @@ class TestVerify:
             ("verify", "LEMMA51", "--order", "0"),
             ("verify", "LEMMA51", "--order", "9", "--m", "10"),
             ("verify", "all", "--order", "3"),
+            ("verify", "EQ31", "--k", "0"),
         ],
     )
     def test_empty_range_is_usage_error(self, capsys, argv):
