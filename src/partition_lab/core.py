@@ -1,16 +1,17 @@
 """Integer partitions and their scalar statistics.
 
 A partition is stored once, canonically, as a non-increasing tuple of
-positive integers.  Every statistic here is a pure function of that tuple.
-The public constructor sorts and validates its parts; only the two
-partition walks store their own output unchecked, in place, because they
-build each part tuple sorted and positive.  Both keep the parts in one
-preallocated array in which every entry past the last part greater than 1
-is a 1, so they never write, count or delete trailing 1s, and both keep the
-reverse-lexicographic order.  Unrestricted partitions take the textbook
-ZS1 step of Zoghbi and Stojmenovic; strict and odd partitions take a refill
-loop that also cuts every strict refill whose remaining sum the smaller
-distinct parts cannot reach.
+positive integers, with its length beside it in a slot.  Every statistic
+here is a pure function of that tuple.  The public constructor sorts and
+validates its parts; only the two partition walks store their own output
+unchecked, in place, because they build each part tuple sorted and
+positive, and they store its length from the part count m they keep.
+Both keep the parts in one preallocated array in which every entry past the
+last part greater than 1 is a 1, so they never write, count or delete
+trailing 1s, and both keep the reverse-lexicographic order.  Unrestricted
+partitions take the textbook ZS1 step of Zoghbi and Stojmenovic; strict and
+odd partitions take a refill loop that also cuts every strict refill whose
+remaining sum the smaller distinct parts cannot reach.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ class Partition:
     hashable.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "length")
 
     parts: tuple[int, ...]
+    length: int  # number of parts, stored with them
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         ordered = tuple(sorted(parts, reverse=True))
@@ -36,16 +38,12 @@ class Partition:
             if type(part) is not int or part < 1:  # bool is an int subclass
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         self.parts = ordered
+        self.length = len(ordered)
 
     @property
     def size(self) -> int:
         """Sum of the parts."""
         return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        """Number of parts."""
-        return len(self.parts)
 
     def multiplicity(self, j: int) -> int:
         """Number of parts equal to ``j``."""
@@ -203,9 +201,10 @@ def partitions(
     Two loops do the walk.  Each keeps a preallocated array ``x = [1] * n``
     whose first m entries are the parts, with h the index of the last part
     greater than 1 and ``x[i] == 1`` for every i > h, so trailing 1s are
-    never written, counted or deleted.  Both keep the reverse-lexicographic order, which
-    the ascending AccelAsc walk would not, and store each yielded tuple
-    unchecked, in place, because they build it sorted and positive.
+    never written, counted or deleted.  Both keep the reverse-lexicographic
+    order, which the ascending AccelAsc walk would not, and store each yielded
+    tuple unchecked, in place, because they build it sorted and positive,
+    with m as its length.
 
     Unrestricted partitions take Zoghbi and Stojmenovic's ZS1 step, O(1)
     amortized per partition: after a greedy first fill under the cap, a
@@ -255,6 +254,7 @@ def _zs1(n: int, top: int) -> Iterator[Partition]:
     while True:
         p = new(Partition)
         p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
+        p.length = m
         yield p
         if h < 0:
             return  # only 1s are left
@@ -313,6 +313,7 @@ def _refill(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
         if not remaining:
             p = new(Partition)
             p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
+            p.length = m
             yield p
         if h < 0:
             return  # only 1s are left, and a 1 has no smaller part to retry with

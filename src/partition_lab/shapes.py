@@ -3,10 +3,12 @@
 Durfee and sub-Durfee sides, 2-modular diagrams in both drawing
 conventions (1-cells at the end of each row, or along the right border of
 the Durfee square), and the alternating index of an odd partition.  Every
-statistic is computed in one pass over the part tuple.  The definitions
-they are checked against (the splits around the ordinary and 2-modular
-Durfee squares, 2-modular conjugation of even partitions and the 2-modular
-row widths) live as oracles in the test suite.
+statistic is computed in one pass over the part tuple, and every Durfee fit
+reads the parts themselves: a row reaches column j + 1 exactly when its part
+exceeds j, or 2j in the 2-modular diagram, so no width list is built.  The
+definitions they are checked against (the splits around the ordinary and
+2-modular Durfee squares, 2-modular conjugation of even partitions and the
+2-modular row widths) live as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -76,13 +78,21 @@ class ModularDiagram:
         return self.render()
 
 
-def _fit(widths: Sequence[int], start: int = 0, extra: int = 0) -> int:
-    """Side j of the tallest j-by-(j + extra) rectangle in ``widths[start:]``."""
+def _fit(parts: Sequence[int], start: int = 0, extra: int = 0, cell: int = 1) -> int:
+    """Side j of the tallest j-by-(j + extra) rectangle in the rows of
+    ``parts[start:]``, each cell holding ``cell``: 1 in the Ferrers diagram,
+    2 in the 2-modular one, where a part fills ceil(part / 2) cells.
+
+    A row reaches column c + 1 exactly when its part exceeds ``cell * c``,
+    so the limit steps by ``cell`` and no width list is built.
+    """
+    limit = cell * extra
     j = 0
-    for width in widths[start:]:
-        if width <= j + extra:
+    for part in parts[start:]:
+        if part <= limit:
             break
         j += 1
+        limit += cell
     return j
 
 
@@ -91,33 +101,33 @@ def durfee_side(p: Partition) -> int:
     return _fit(p.parts)
 
 
-def _sub_durfee(widths: Sequence[int]) -> tuple[DurfeeType, int]:
-    # Type I when row k strictly exceeds k (then the Durfee side of the rows
-    # below the square); type II when it equals k (then the tallest
-    # j-by-(j+1) rectangle fitting below, 0 when none fits).
-    k = _fit(widths)
-    if widths[k - 1] > k:
-        return DurfeeType.TYPE_I, _fit(widths, k)
-    return DurfeeType.TYPE_II, _fit(widths, k, 1)
+def _sub_durfee(parts: Sequence[int], cell: int) -> tuple[DurfeeType, int]:
+    # Type I when row k strictly exceeds k cells (then the Durfee side of the
+    # rows below the square); type II when it holds exactly k (then the
+    # tallest j-by-(j+1) rectangle fitting below, 0 when none fits).
+    k = _fit(parts, cell=cell)
+    if parts[k - 1] > cell * k:
+        return DurfeeType.TYPE_I, _fit(parts, k, cell=cell)
+    return DurfeeType.TYPE_II, _fit(parts, k, 1, cell)
 
 
 def sub_durfee_side(p: Partition) -> tuple[DurfeeType, int]:
     """Type and sub-Durfee side of a nonempty partition."""
     if not p:
         raise ValueError("sub-Durfee side is not defined for the empty partition")
-    return _sub_durfee(p.parts)
+    return _sub_durfee(p.parts, 1)
 
 
 def dur2(p: Partition) -> int:
     """Durfee side of the 2-modular diagram's shape."""
-    return _fit([(part + 1) // 2 for part in p.parts])
+    return _fit(p.parts, cell=2)
 
 
 def dur2_sub(p: Partition) -> tuple[DurfeeType, int]:
     """Type and sub-Durfee side of the 2-modular diagram's shape."""
     if not p:
         raise ValueError("2-modular sub-Durfee side is not defined for the empty partition")
-    return _sub_durfee([(part + 1) // 2 for part in p.parts])
+    return _sub_durfee(p.parts, 2)
 
 
 def modular2_diagram(p: Partition, border: Border = Border.LAST_CELL) -> ModularDiagram:
@@ -168,11 +178,17 @@ def alternating_index(p: Partition) -> int:
             raise ValueError(f"alternating index needs odd parts, got {part}")
     if not parts:
         return 0
-    k = _fit([(part + 1) // 2 for part in parts])
+    k = _fit(parts, cell=2)
     tail = 2 * k if parts[k - 1] > 2 * k - 1 else 2 * k - 1
-    lower = parts[1:k] + (2 * k - 1,)
-    values = {2 * i for i in range(1, k + 1) if parts[i - 1] > lower[i - 1]}
-    values.update(parts[k:], (tail,))
-    if max(values) > tail:
+    values = set(parts[k:])
+    below = 2 * k - 1  # row k + 1, read as 2k - 1
+    for i in range(k, 0, -1):
+        part = parts[i - 1]
+        if part > below:
+            values.add(2 * i)
+        below = part
+    values.add(tail)
+    ordered = sorted(values)
+    if ordered[-1] > tail:
         raise RuntimeError(f"alternating-index sequence of {p} exceeds its tail {tail}")
-    return parity_index(sorted(values))
+    return parity_index(ordered)

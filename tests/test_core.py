@@ -61,6 +61,27 @@ class TestPartitionType:
         assert parse("7+6+6+5+1+1").length == 6
         assert parse("14+13+11+9+6+5+4+2+1").length == 9
 
+    def test_stored_length_is_the_part_count(self):
+        # length is a slot set beside the parts by the constructor and by both
+        # walks, so every way of making a partition must keep the two in step
+        for n in range(31):
+            for cap in (None, 1, 2, n // 2, n + 3):
+                for family in ({}, {"distinct": True}, {"odd": True}):
+                    for p in partitions(n, max_part=cap, **family):
+                        assert p.length == len(p.parts), (n, cap, family, p)
+        made = [
+            Partition(),
+            Partition([1, 3, 2, 3]),
+            parse("0"),
+            parse("7+6+6+5+1+1"),
+            union(parse("3+1+1"), parse("4+3+2+1")),
+            union(Partition(), Partition()),
+            Partition().conjugate(),
+            parse("8+5+5+2+2+2+1").conjugate(),
+        ]
+        for p in made:
+            assert p.length == len(p.parts), p
+
     def test_multiplicity(self):
         assert parse("7+6+6+5+1+1").multiplicity(6) == 2
         assert parse("9+7+7+5+1+1").multiplicity(1) == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from partition_lab import shapes
 from partition_lab.core import Partition, parity_index, parse, partitions, union
 from partition_lab.shapes import (
     Border,
@@ -195,6 +196,27 @@ class TestModular2Statistics:
         assert dur2_sub(parse("9+7+7+5+1+1")) == (DurfeeType.TYPE_I, 1)
         assert dur2_sub(parse("11+3+1")) == (DurfeeType.TYPE_II, 0)
 
+    def test_side_four_and_five_boundaries(self):
+        # a row reaches 2-modular column j + 1 exactly when its part exceeds 2j:
+        # 7 and 8 fill exactly four columns (type II at side 4), 9 reaches a
+        # fifth (type I), and 9^5 is the first square of side 5
+        cases = {
+            "7+7+7+7": (4, (DurfeeType.TYPE_II, 0)),
+            "9+9+9+9": (4, (DurfeeType.TYPE_I, 0)),
+            "9+9+9+9+9": (5, (DurfeeType.TYPE_II, 0)),
+            "8+8+8+8": (4, (DurfeeType.TYPE_II, 0)),
+            "8+8+8+8+8": (4, (DurfeeType.TYPE_II, 1)),
+            "8+8+8+7": (4, (DurfeeType.TYPE_II, 0)),
+            "8+8+8+6": (3, (DurfeeType.TYPE_I, 1)),
+        }
+        for literal, (side, sub) in cases.items():
+            p = parse(literal)
+            assert (dur2(p), dur2_sub(p)) == (side, sub), literal
+            assert durfee_side(widths(p)) == side and sub_durfee_side(widths(p)) == sub
+        for literal in ("7+7+7+7", "9+9+9+9", "9+9+9+9+9"):
+            p = parse(literal)
+            assert alternating_index(p) == triple_alternating_index(p), literal
+
     def test_modular2_triple_examples(self):
         assert split(parse("9+7+7+5+1+1"), modular2=True) == (3, parse("4+2+2"), parse("5+1+1"))
         assert split(parse("1"), modular2=True) == (1, Partition(), Partition())
@@ -249,13 +271,23 @@ class TestAlternatingIndex:
                 assert (alternating_index(p) % 2 == 0) == expected_even, p
 
     def test_matches_triple_definition(self):
-        for n in range(31):
+        # n <= 36 reaches type I at side 4 (9+9+9+9)
+        for n in range(37):
             for p in partitions(n, odd=True):
                 assert alternating_index(p) == triple_alternating_index(p), p
 
     def test_rejects_even_parts(self):
         with pytest.raises(ValueError, match="alternating index needs odd parts, got 4"):
             alternating_index(parse("4+1"))
+
+    def test_a_short_fit_trips_the_tail_check(self, monkeypatch):
+        # a fit that stops early leaves parts below the square wider than the
+        # tail; the check is an if, not an assert, so it holds under -O too
+        monkeypatch.setattr(shapes, "_fit", lambda *args, **kwargs: 1)
+        with pytest.raises(
+            RuntimeError, match="^alternating-index sequence of 9\\+9\\+9\\+9 exceeds its tail 2$"
+        ):
+            alternating_index(parse("9+9+9+9"))
 
 
 def test_statistics_build_no_intermediate(monkeypatch):

@@ -558,19 +558,23 @@ class TestTrustedConstruction:
             ("qseries.py", "_times_binomial", "MultiSeries._trusted"),
             ("qseries.py", "_trusted", "object.__new__"),
         ]
-        # and only the checking constructor and those two walks store parts
+        # and only the checking constructor and those two walks store parts,
+        # or the length kept beside them
         stores = _package_uses(
             lambda node: (
                 isinstance(node, ast.Attribute)
-                and node.attr == "parts"
+                and node.attr in ("parts", "length")
                 and not isinstance(node.ctx, ast.Load)
             )
             or getattr(node, "id", None) == "setattr"
             or getattr(node, "attr", None) == "__setattr__"
         )
         assert sorted((path, owner, ast.unparse(node)) for path, owner, node in stores) == [
+            ("core.py", "__init__", "self.length"),
             ("core.py", "__init__", "self.parts"),
+            ("core.py", "_refill", "p.length"),
             ("core.py", "_refill", "p.parts"),
+            ("core.py", "_zs1", "p.length"),
             ("core.py", "_zs1", "p.parts"),
         ]
 
