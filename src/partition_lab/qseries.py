@@ -17,8 +17,9 @@ nested Horner form over one-factor runs, or one recurrence loop, which
 QBINOM runs as the Pochhammer builders do; the product envelopes are one
 run each.  XQ2's Gaussian binomials are two runs, truncated at their
 degree; there is no q-Pascal table.  LaurentPoly quarantines the negative
-q-powers required by the terminating hypergeometric checks; MultiSeries
-never holds a negative exponent.  No floating point anywhere.
+q-powers required by the terminating hypergeometric checks; its finite
+Pochhammer products take the same shifted add per factor, untruncated.
+MultiSeries never holds a negative exponent.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -472,11 +473,24 @@ class LaurentPoly:
 
     @classmethod
     def poch(cls, coeff: int, q_start: int, step: int, n: int, x: int = 0) -> "LaurentPoly":
-        """Finite product of (1 - coeff * x^x * q^(q_start + step*t)), t < n."""
-        result = cls.one()
-        for t in range(n):
-            result = result * (cls.one() - cls.term(coeff, q=q_start + step * t, x=x))
-        return result
+        """Finite product of (1 - coeff * x^x * q^(q_start + step*t)), t < n.
+
+        One shifted add per factor, into a fresh copy of the previous
+        factor's terms, deleting a coefficient as soon as it cancels: the
+        step of ``MultiSeries._times_binomial`` without its truncation, as
+        q may go negative here.  A factor with coeff 0 is 1."""
+        out = {(0, 0): 1}
+        for t in range(n if coeff else 0):
+            shift = q_start + step * t
+            source, out = out, dict(out)
+            for (q, xe), c in source.items():
+                key = (q + shift, xe + x)
+                total = out.get(key, 0) - coeff * c
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return cls(out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -248,9 +248,6 @@ def check_sylvester(nmax: int) -> dict:
     return {"partitions": checked}
 
 
-_SWAPPED = {maps.PhiCase.CASE1: maps.PhiCase.CASE2, maps.PhiCase.CASE2: maps.PhiCase.CASE1}
-
-
 def check_involution(nmax: int) -> dict:
     """Involution on signed pairs: involutive, weight-preserving,
     sign-reversing off fixed points, cases swapping, and the fixed-point
@@ -258,7 +255,15 @@ def check_involution(nmax: int) -> dict:
 
     Pairs are streamed, not listed, from the strict and the labeled
     partitions of each size, listed once and shared across sizes.  Each
-    pair and its image are classified once; the two cases serve every check."""
+    pair is classified once, and each pair's image is computed once.  A
+    fixed pair must be its own image.  A case-1 pair p must map to a
+    case-2 pair of the same weight and the opposite sign, and phi of that
+    image must be p again.  That phi^2 = id makes phi one-to-one from case
+    1 into case 2, and equal counts of the two cases at each size make it
+    onto; so every case-2 pair q is phi(p) for exactly one case-1 p, and
+    phi(q) = p has been computed and checked there.  A case-2 pair thus
+    only adds to the signed weights and to its case's count."""
+    case1, case2, fixed = maps.PhiCase.CASE1, maps.PhiCase.CASE2, maps.PhiCase.FIXED
     pair_count = 0
     strict: list[list[Partition]] = []
     labeled: list[list[maps.LabeledPartition]] = []
@@ -266,29 +271,39 @@ def check_involution(nmax: int) -> dict:
         strict.append(list(partitions(n, distinct=True)))
         labeled.append(maps.enumerate_labeled(n))
         signed = Counter()
+        moved = Counter()  # pairs per case, off the fixed points
         fixed_weights = Counter()
         fixed_pairs = []
         for pair in maps._pairs(n, strict, labeled):
             pair_count += 1
             x, y, _q = weight = pair.weight
             sign = pair.sign
-            case, image = maps.involution_phi(pair)
-            icase, back = maps.involution_phi(image)
+            signed[(x, y)] += sign
+            case = maps.classify_pair(pair)[0]
+            if case is case2:
+                moved[case] += 1
+                continue
+            phi_case, image = maps.involution_phi(pair)
+            if case is fixed:
+                if image != pair:
+                    raise Counterexample(f"case does not swap at {pair}")
+                if phi_case is not fixed or sign != 1:
+                    raise Counterexample(f"bad fixed point {pair}")
+                fixed_pairs.append(pair)
+                fixed_weights[(x, y)] += 1
+                continue
+            moved[case] += 1
+            image_case, back = maps.involution_phi(image)
             if back != pair:
                 raise Counterexample(f"phi^2({pair}) = {back}")
             if image.weight != weight:
                 raise Counterexample(f"weight changed at {pair}")
-            if image == pair:
-                if case is not maps.PhiCase.FIXED or sign != 1:
-                    raise Counterexample(f"bad fixed point {pair}")
-                fixed_pairs.append(pair)
-                fixed_weights[(x, y)] += 1
-            else:
-                if icase is not _SWAPPED[case]:
-                    raise Counterexample(f"case does not swap at {pair}")
-                if image.sign != -sign:
-                    raise Counterexample(f"sign kept at {pair}")
-            signed[(x, y)] += sign
+            if phi_case is not case1 or image_case is not case2:
+                raise Counterexample(f"case does not swap at {pair}")
+            if image.sign != -sign:
+                raise Counterexample(f"sign kept at {pair}")
+        if moved[case1] != moved[case2]:
+            raise Counterexample(f"case 1 and case 2 counts differ at total size {n}")
         strict_weights = Counter((k_measure(t, 2), t.length) for t in strict[n])
         if signed != strict_weights or fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")

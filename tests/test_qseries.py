@@ -515,6 +515,19 @@ class TestLaurentPoly:
         assert not LaurentPoly.poch(1, -2, 1, 2).is_zero()
         assert LaurentPoly.poch(1, -2, 1, 3).is_zero()
 
+    @pytest.mark.parametrize("coeff", [1, -1, 2])
+    @pytest.mark.parametrize("q_start", [-3, 0, 2])
+    def test_poch_is_the_running_product_of_its_factors(self, coeff, q_start):
+        # poch's shifted adds against the general product, factor by factor,
+        # across cancelling (q^0) and negative q-powers
+        for step in (1, 2):
+            for x in (0, 1):
+                expected = LaurentPoly.one()
+                for n in range(7):
+                    assert LaurentPoly.poch(coeff, q_start, step, n, x) == expected
+                    factor = LaurentPoly.term(coeff, q=q_start + step * n, x=x)
+                    expected = expected * (LaurentPoly.one() - factor)
+
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             LaurentPoly({(0, -1): 1})

@@ -4,6 +4,7 @@ what in the package source."""
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,25 @@ def _package_uses(matches):
                 owner = max(inside, key=lambda f: f.lineno) if inside else None
                 uses.append((path.name, owner and owner.name, node))
     return uses
+
+
+def _swapping_fixed_pairs(phi):
+    # phi, but sending the fixed pairs of 5+1 and 4+2, both of weight
+    # (2, 2, 6), to each other
+    a, b = (maps.strict_to_fixed(parse(t)) for t in ("5+1", "4+2"))
+    swap = {a: b, b: a}
+    return lambda pair: phi(swap.get(pair, pair))
+
+
+def _calling_0_3_case2(classify):
+    # classify_pair, but calling the case-1 pair (0, 3) case 2
+    moved = maps.parse_pair("0|3")
+
+    def wrong(pair):
+        case, a, b = classify(pair)
+        return (maps.PhiCase.CASE2 if pair == moved else case), a, b
+
+    return wrong
 
 
 class TestEnumerate:
@@ -298,6 +318,28 @@ class TestCheckers:
                 "FINITE_LEMMAS order<=6 FAIL",
                 "QBINOM a=1*q^1 q^12 x^6 y^0: built 0, expected 1",
             ),
+            (
+                # a phi that moves two fixed pairs of one weight onto each
+                # other: reported, not a KeyError
+                maps,
+                "involution_phi",
+                _swapping_fixed_pairs,
+                "INVOLUTION",
+                {"nmax": 6},
+                "INVOLUTION n<=6 FAIL",
+                "case does not swap at (0, 5x+1x)",
+            ),
+            (
+                # one case-1 pair called case 2, by phi too: every pair's own
+                # checks pass, only the two case counts differ
+                maps,
+                "classify_pair",
+                _calling_0_3_case2,
+                "INVOLUTION",
+                {"nmax": 5},
+                "INVOLUTION n<=5 FAIL",
+                "case 1 and case 2 counts differ at total size 3",
+            ),
         ],
     )
     def test_broken_layer_fails_with_bounds_and_witness(
@@ -408,7 +450,8 @@ class TestCheckers:
 
     def test_involution_goes_through_the_public_phi(self, monkeypatch):
         # the benchmark traces maps.involution_phi, so the checker must call
-        # that name: once for each pair and once for its image
+        # that name, and on each pair exactly once: on a case-1 pair, on its
+        # image (the case-2 pairs) and on a fixed pair
         from partition_lab.verify import check_involution
 
         calls = []
@@ -420,7 +463,9 @@ class TestCheckers:
 
         monkeypatch.setattr(maps, "involution_phi", counted)
         counts = check_involution(8)
-        assert counts["pairs"] > 0 and len(calls) == 2 * counts["pairs"]
+        every_pair = Counter(pair for n in range(9) for pair in maps.enumerate_pairs(n))
+        assert Counter(calls) == every_pair
+        assert counts["pairs"] == len(calls) > 0
 
     def test_every_desk_report_counts_what_it_checked(self):
         # what the enumeration-side checkers and FINITE_LEMMAS check at desk
