@@ -152,7 +152,7 @@ class MultiSeries:
         """This series times (1 - c q^s x^a y^b) for each s in ``shifts``, in
         order: one shifted add per factor, each into a fresh copy of the
         previous factor's terms, deleting a coefficient as soon as it
-        cancels."""
+        cancels.  A factor with c = 0 is 1."""
         if a < 0 or b < 0:
             raise ValueError(f"negative exponent in binomial {(a, b)}")
         order = self.order
@@ -160,6 +160,8 @@ class MultiSeries:
         for s in shifts:
             if s < 0:
                 raise ValueError(f"negative exponent in binomial {(s, a, b)}")
+            if not c:
+                continue
             source, out = out, dict(out)
             limit = order - s
             for (q, x, y), coeff in source.items():
@@ -170,7 +172,7 @@ class MultiSeries:
                         out[key] = total
                     else:
                         del out[key]
-        if out is self.terms:  # an empty run
+        if out is self.terms:  # an empty run, or factors of 1
             out = dict(out)
         return MultiSeries._trusted(order, out)
 
@@ -266,13 +268,6 @@ def _gauss(n: int, i: int) -> MultiSeries:
 # -- named series builders ---------------------------------------------------
 
 
-def _assert_y_bounded(series: MultiSeries) -> MultiSeries:
-    # every series built here weights y by a partition length, so y <= q
-    if any(y > q for (q, _x, y) in series.terms):
-        raise RuntimeError("built series has a y-exponent above its q-exponent")
-    return series
-
-
 def _double_sum(order: int, cells) -> MultiSeries:
     """Sum of x^a y^b q^e / ((q; q)_i (q^2; q^2)_j) over the (e, a, b, i, j)
     cells in nested Horner form, over j and then i from the largest down:
@@ -327,7 +322,7 @@ def build_run_double_sum_gf(order: int, x_weight) -> MultiSeries:
                 j += 1
             i += 1
 
-    return _assert_y_bounded(_double_sum(order, cells()))
+    return _double_sum(order, cells())
 
 
 def build_k_measure_gf(k: int, order: int) -> MultiSeries:
@@ -336,14 +331,14 @@ def build_k_measure_gf(k: int, order: int) -> MultiSeries:
     if type(k) is not int or k < 1:  # bool is an int subclass
         raise ValueError("k must be a positive integer")
     total = _term_sum(order, lambda n: Monomial(-1, y=1, q=1), Monomial(1, x=1), k)
-    return _assert_y_bounded(total._times_binomial(-1, range(1, order + 1), 0, 1))
+    return total._times_binomial(-1, range(1, order + 1), 0, 1)
 
 
 def build_all_partitions_2measure_gf(order: int) -> MultiSeries:
     """All partitions counted by x^(2-measure) y^length q^size:
     1/(yq; q)_inf times sum_n (-y)^n q^(n(n+1)/2) (x; q)_n / (q; q)_n."""
     total = _term_sum(order, lambda n: Monomial(-1, y=1, q=n + 1), Monomial(1, x=1), 1)
-    return _assert_y_bounded(total._over_binomial(1, range(1, order + 1), 0, 1))
+    return total._over_binomial(1, range(1, order + 1), 0, 1)
 
 
 def build_durfee_type_gf(order: int) -> MultiSeries:
@@ -367,7 +362,7 @@ def build_durfee_type_gf(order: int) -> MultiSeries:
                 yield exponent, m - 1, k, 2 * m - 1, k - m
             k += 1
 
-    return _assert_y_bounded(_double_sum(order, cells()))
+    return _double_sum(order, cells())
 
 
 def _parity_cells(m: int, shift: int, y: int, order: int):
@@ -408,7 +403,7 @@ def build_alt_durfee_gf(order: int) -> MultiSeries:
             yield from _parity_cells(2 * k, k * (2 * k - 1), k, order)
             k += 1
 
-    return _assert_y_bounded(_double_sum(order, cells()))
+    return _double_sum(order, cells())
 
 
 _BUILDERS = {
@@ -426,7 +421,8 @@ SERIES_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str, order: int, **params) -> MultiSeries:
-    """Construct a named series at the given truncation order."""
+    """Construct a named series at the given truncation order.  Each one
+    weights y by a length or a Durfee side, so y <= q is checked here."""
     try:
         builder, wanted = _BUILDERS[name]
     except KeyError:
@@ -438,7 +434,10 @@ def build(name: str, order: int, **params) -> MultiSeries:
     if extra:
         raise ValueError(f"series {name} does not take parameter(s) {extra}")
     args = [params[p] for p in wanted]
-    return builder(*args, order)
+    series = builder(*args, order)
+    if any(y > q for (q, _x, y) in series.terms):
+        raise RuntimeError(f"built series {name} has a y-exponent above its q-exponent")
+    return series
 
 
 # -- Laurent polynomials ------------------------------------------------------
@@ -507,8 +506,6 @@ class LaurentPoly:
         return LaurentPoly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({k: other * c for k, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
@@ -517,8 +514,6 @@ class LaurentPoly:
                 key = (q1 + q2, x1 + x2)
                 out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

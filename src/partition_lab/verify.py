@@ -98,12 +98,10 @@ def check_eq_2measure_p(order: int) -> dict:
     return {"terms": compare_series(built, expected)}
 
 
-def _check_cells(name: str, nmax: int, odd_key, strict_key) -> dict:
+def _check_cells(nmax: int, odd_key, strict_key) -> dict:
     """Odd partitions tallied by ``odd_key`` against strict partitions
     tallied by ``strict_key``, for every n in 1..nmax, over the cells either
     side holds, up to the first cell where the counts differ."""
-    if nmax < 1:
-        raise ValueError(f"{name} needs nmax >= 1; sizes up to {nmax} hold no cell")
     checked = 0
     for n in range(1, nmax + 1):
         odd = Counter(map(odd_key, partitions(n, odd=True)))
@@ -129,7 +127,7 @@ def check_thm12(nmax: int) -> dict:
         type_ii = kind is DurfeeType.TYPE_II
         return 2 * dur2(p) - type_ii, 2 * m + type_ii
 
-    return _check_cells("THM12", nmax, odd_key, lambda p: (p.length, sol(p)))
+    return _check_cells(nmax, odd_key, lambda p: (p.length, sol(p)))
 
 
 def check_thm13(nmax: int) -> dict:
@@ -145,7 +143,7 @@ def check_thm13(nmax: int) -> dict:
         m = alternating_index(p)
         return 2 * dur2(p) - m % 2, m
 
-    return _check_cells("THM13", nmax, odd_key, lambda p: (p.length, sol(p)))
+    return _check_cells(nmax, odd_key, lambda p: (p.length, sol(p)))
 
 
 def check_corollary(nmax: int) -> dict:
@@ -160,7 +158,7 @@ def check_corollary(nmax: int) -> dict:
     def odd_key(p):
         return 2 * dur2(p) - (dur2_sub(p)[0] is DurfeeType.TYPE_II)
 
-    return _check_cells("COROLLARY", nmax, odd_key, lambda p: p.length)
+    return _check_cells(nmax, odd_key, lambda p: p.length)
 
 
 def _check_against_sol_len(order, built, enumerated, reindex) -> dict:
@@ -451,73 +449,56 @@ def example_sets(preset: str) -> dict[str, list[Partition]]:
 
 # -- registry ---------------------------------------------------------------------
 
-# name -> (function, accepted bound keywords)
+# name -> (function, {bound: (least, desk)}).  Below its least value a bound
+# would check nothing, or, for k, ask for a k-measure that does not exist;
+# LEMMA51's order >= mmax, which relates two bounds, is its checker's own.
+# The desk values finish comfortably on a laptop; a desk value of None leaves
+# the bound to the checker's default.
 CHECKERS = {
-    "PROP_2MEASURE": (check_prop_2measure, ("nmax",)),
-    "THM11": (check_thm11, ("order",)),
-    "EQ11": (check_eq11, ("order",)),
-    "EQ31": (check_eq31, ("order", "k")),
-    "EQ_2MEASURE_P": (check_eq_2measure_p, ("order",)),
-    "THM12": (check_thm12, ("nmax",)),
-    "THM13": (check_thm13, ("nmax",)),
-    "COROLLARY": (check_corollary, ("nmax",)),
-    "GF4": (check_gf4, ("order",)),
-    "GF5": (check_gf5, ("order",)),
-    "SYLVESTER": (check_sylvester, ("nmax",)),
-    "INVOLUTION": (check_involution, ("nmax",)),
-    "LEMMA51": (check_lemma51, ("mmax", "order")),
-    "GLAISHER_COUNTEREX": (check_glaisher_counterexample, ()),
-    "FINITE_LEMMAS": (check_finite_lemmas, ("order",)),
+    "PROP_2MEASURE": (check_prop_2measure, {"nmax": (0, 40)}),
+    "THM11": (check_thm11, {"order": (0, 30)}),
+    "EQ11": (check_eq11, {"order": (0, 25)}),
+    "EQ31": (check_eq31, {"order": (0, 22), "k": (1, None)}),
+    "EQ_2MEASURE_P": (check_eq_2measure_p, {"order": (0, 20)}),
+    "THM12": (check_thm12, {"nmax": (1, 26)}),
+    "THM13": (check_thm13, {"nmax": (1, 26)}),
+    "COROLLARY": (check_corollary, {"nmax": (1, 26)}),
+    "GF4": (check_gf4, {"order": (0, 25)}),
+    "GF5": (check_gf5, {"order": (0, 25)}),
+    "SYLVESTER": (check_sylvester, {"nmax": (0, 26)}),
+    "INVOLUTION": (check_involution, {"nmax": (0, 12)}),
+    "LEMMA51": (check_lemma51, {"mmax": (1, 10), "order": (1, 30)}),
+    "GLAISHER_COUNTEREX": (check_glaisher_counterexample, {}),
+    "FINITE_LEMMAS": (check_finite_lemmas, {"order": (0, 15)}),
 }
-
-# bounds chosen to finish comfortably on a laptop
-DESK_PROFILE = {
-    "PROP_2MEASURE": {"nmax": 40},
-    "THM11": {"order": 30},
-    "EQ11": {"order": 25},
-    "EQ31": {"order": 22},
-    "EQ_2MEASURE_P": {"order": 20},
-    "THM12": {"nmax": 26},
-    "THM13": {"nmax": 26},
-    "COROLLARY": {"nmax": 26},
-    "GF4": {"order": 25},
-    "GF5": {"order": 25},
-    "SYLVESTER": {"nmax": 26},
-    "INVOLUTION": {"nmax": 12},
-    "LEMMA51": {"mmax": 10, "order": 30},
-    "GLAISHER_COUNTEREX": {},
-    "FINITE_LEMMAS": {"order": 15},
-}
-
-
-# smallest value each bound may take; below it a checker would check nothing,
-# or, for k, ask for a k-measure that does not exist
-_LEAST_BOUND = {"nmax": 0, "order": 0, "k": 1, "mmax": 1}
 
 
 def verify(name: str, **bounds) -> VerificationReport:
-    """Run one named checker, using desk-profile bounds for anything unset.
+    """Run one named checker, using the desk value of its row for any bound
+    left unset or ``None``.
 
-    The report carries the checker's name and bounds, and its counts, or
-    the witness of the ``Counterexample`` it raised; ``elapsed_s`` is the
+    The checker's ``CHECKERS`` row names the bounds it accepts, and this is
+    the one place each bound is checked against its least value.  The
+    report carries the checker's name and bounds, and its counts, or the
+    witness of the ``Counterexample`` it raised; ``elapsed_s`` is the
     checker's wall time.  Any other exception propagates.
     """
     try:
-        func, accepted = CHECKERS[name]
+        func, limits = CHECKERS[name]
     except KeyError:
         raise ValueError(f"unknown checker {name!r}; choose from {tuple(CHECKERS)}") from None
-    kwargs = dict(DESK_PROFILE.get(name, {}))
+    kwargs = {key: desk for key, (_least, desk) in limits.items() if desk is not None}
     for key, value in bounds.items():
         if value is None:
             continue
-        if key not in accepted:
+        if key not in limits:
             raise ValueError(f"checker {name} does not accept bound {key!r}")
         kwargs[key] = value
     for key, value in kwargs.items():
         if type(value) is not int:  # bool is an int subclass
             raise ValueError(f"checker {name} needs an integer {key}, got {value!r}")
-        least = _LEAST_BOUND.get(key)
-        if least is not None and value < least:
+        least = limits[key][0]
+        if value < least:
             raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")
     start = time.perf_counter()
     try:

@@ -206,8 +206,7 @@ class TestVerify:
         def broken():
             raise verify_module.Counterexample("q^1: 2 != 3")
 
-        monkeypatch.setitem(verify_module.CHECKERS, "GLAISHER_COUNTEREX", (broken, ()))
-        monkeypatch.setitem(verify_module.DESK_PROFILE, "GLAISHER_COUNTEREX", {})
+        monkeypatch.setitem(verify_module.CHECKERS, "GLAISHER_COUNTEREX", (broken, {}))
         code, out, _ = run(capsys, "verify", "GLAISHER_COUNTEREX")
         assert code == 1
         assert "FAIL" in out and "q^1: 2 != 3" in out

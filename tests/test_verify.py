@@ -135,10 +135,22 @@ class TestCheckers:
         report = verify(name, **bounds)
         assert report.passed, report.witness
 
-    def test_registry_covers_desk_profile(self):
-        from partition_lab.verify import DESK_PROFILE
+    @pytest.mark.parametrize("name", list(CHECKERS))
+    def test_each_checker_counts_something_at_least_bounds(self, name):
+        least = {key: low for key, (low, _desk) in CHECKERS[name][1].items()}
+        report = verify(name, **least)
+        assert report.passed, report.witness
+        assert report.params == least
+        assert report.counts and all(count > 0 for count in report.counts.values())
 
-        assert set(DESK_PROFILE) == set(CHECKERS)
+    @pytest.mark.parametrize(
+        "name,key",
+        [(name, key) for name, (_func, limits) in CHECKERS.items() for key in limits],
+    )
+    def test_bound_below_least_is_rejected(self, name, key):
+        least = CHECKERS[name][1][key][0]
+        with pytest.raises(ValueError, match=f"^checker {name} needs {key} >= {least}, got {least - 1}$"):
+            verify(name, **{key: least - 1})
 
     def test_unknown_checker_and_bad_bound(self):
         with pytest.raises(ValueError):
@@ -398,7 +410,10 @@ class TestCheckers:
             "GLAISHER_COUNTEREX": {},
             "FINITE_LEMMAS": {"order": 6},
         }
-        monkeypatch.setattr(verify_module, "DESK_PROFILE", small)
+        for name, bounds in small.items():
+            func, limits = CHECKERS[name]
+            rows = {key: (least, bounds.get(key, desk)) for key, (least, desk) in limits.items()}
+            monkeypatch.setitem(CHECKERS, name, (func, rows))
         reports = verify_all()
         assert [r.name.split()[0] for r in reports] == list(CHECKERS)
         assert all(reports)
@@ -424,12 +439,12 @@ class TestCheckers:
         def largest(p):
             return p.parts[0]
 
-        assert _check_cells("X", 1, largest, largest) == {"cells": 1}
+        assert _check_cells(1, largest, largest) == {"cells": 1}
         with pytest.raises(Counterexample) as odd_only:
-            _check_cells("X", 3, largest, largest)
+            _check_cells(3, largest, largest)
         assert str(odd_only.value) == "n=2 cell 1: odd 1 != strict 0"
         with pytest.raises(Counterexample) as strict_only:
-            _check_cells("X", 3, lambda p: -largest(p), lambda p: -largest(p))
+            _check_cells(3, lambda p: -largest(p), lambda p: -largest(p))
         assert str(strict_only.value) == "n=2 cell -2: odd 0 != strict 1"
 
     @pytest.mark.parametrize(
