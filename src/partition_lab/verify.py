@@ -37,10 +37,15 @@ def enumerate_family(spec: FamilySpec):
 def _enumeration_series(order, key, **family) -> list[MultiSeries]:
     """One series per exponent pair in the flat tuple ``key(p)``, (a1, b1,
     a2, b2, ...): series i sums q^n x^ai y^bi over ``partitions(n, **family)``
-    for n <= order.  One walk of each size tallies every pair."""
+    for n <= order.  One walk of each size tallies every pair.  A negative
+    exponent raises ``Counterexample`` naming the first partition whose key
+    gives one."""
     terms: defaultdict[int, Counter] = defaultdict(Counter)
     for n in range(order + 1):
         for cell, count in Counter(map(key, partitions(n, **family))).items():
+            if min(cell) < 0:
+                p = next(p for p in partitions(n, **family) if min(key(p)) < 0)
+                raise Counterexample(f"{p}: key {cell} has a negative exponent")
             for i in range(0, len(cell), 2):
                 terms[i][(n, cell[i], cell[i + 1])] += count
     return [MultiSeries(order, series) for series in terms.values()]

@@ -211,6 +211,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out and "q^1: 2 != 3" in out
 
+    def test_broken_statistic_fails_every_report_line_printed(self, capsys, monkeypatch):
+        # sol 3 too low from three parts on sends EQ11's key negative at
+        # 3+2+1: a FAIL (exit 1) in a full report, not a usage error (exit 2)
+        real = verify_module.sol
+        monkeypatch.setattr(verify_module, "sol", lambda p: real(p) - 3 * (p.length >= 3))
+        code, out, err = run(capsys, "verify", "all")
+        lines = [line for line in out.splitlines() if not line.startswith("  counterexample: ")]
+        assert code == 1 and err == ""
+        assert [line.split()[0] for line in lines] == list(verify_module.CHECKERS)
+        assert "EQ11 order<=25 FAIL\n  counterexample: 3+2+1: key (-2, 3)" in out
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "THM11", "--order", "0")
         assert code == 0

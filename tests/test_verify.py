@@ -352,6 +352,17 @@ class TestCheckers:
                 "INVOLUTION n<=5 FAIL",
                 "case 1 and case 2 counts differ at total size 3",
             ),
+            (
+                # sol 3 too low from three parts on: 3+2+1's key (-2, 3) is
+                # a FAIL naming it, not MultiSeries' ValueError
+                verify_module,
+                "sol",
+                lambda real: lambda p: real(p) - 3 * (p.length >= 3),
+                "EQ11",
+                {"order": 25},
+                "EQ11 order<=25 FAIL",
+                "3+2+1: key (-2, 3) has a negative exponent",
+            ),
         ],
     )
     def test_broken_layer_fails_with_bounds_and_witness(
