@@ -202,16 +202,18 @@ def _transported_stats(p: Partition, image: Partition) -> dict:
     # the alternating index against the image's odd-run count, and the
     # three hook-length relations tying consecutive readings to part
     # multiplicities and gaps.  Returns an empty count, or raises
-    # Counterexample naming p and every relation that fails.
+    # Counterexample naming p and every relation that fails; the hook
+    # relations index the readings by the Durfee side, so a wrong side is
+    # reported alone.
     if not p:
         return {}
+    k = dur2(p)
+    if k != (image.length + 1) // 2:
+        raise Counterexample(f"{p}: Durfee side {k} != ceil(len/2) {(image.length + 1) // 2}")
     # the hook readings: the image's parts, with the trailing zero that
     # maps.sylvester drops put back when the length is odd
     ell = list(image.parts) + [0] * (image.length % 2)
-    k = dur2(p)
     problems: list[str] = []
-    if k != (image.length + 1) // 2:
-        problems.append(f"Durfee side {k} != ceil(len/2) {(image.length + 1) // 2}")
     if alternating_index(p) != sol(image):
         problems.append(
             f"alt {alternating_index(p)} != sol(image) {sol(image)}"

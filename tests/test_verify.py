@@ -363,6 +363,17 @@ class TestCheckers:
                 "EQ11 order<=25 FAIL",
                 "3+2+1: key (-2, 3) has a negative exponent",
             ),
+            (
+                # a wrong Durfee side fails before the hook readings it
+                # indexes, not with an IndexError
+                verify_module,
+                "dur2",
+                lambda real: lambda p: real(p) + (bool(p) and p.parts[0] >= 21),
+                "SYLVESTER",
+                {"nmax": 26},
+                "SYLVESTER n<=26 FAIL",
+                "21: Durfee side 2 != ceil(len/2) 1",
+            ),
         ],
     )
     def test_broken_layer_fails_with_bounds_and_witness(
