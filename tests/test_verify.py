@@ -61,6 +61,34 @@ def _calling_0_3_case2(classify):
     return wrong
 
 
+def _calling_type_ii_from_side_2_type_i(dur2_sub):
+    # dur2_sub, but calling every type II partition of 2-modular side >= 2
+    # type I, its sub-side kept
+    def wrong(p):
+        kind, m = dur2_sub(p)
+        if kind is DurfeeType.TYPE_II and dur2(p) >= 2:
+            kind = DurfeeType.TYPE_I
+        return kind, m
+
+    return wrong
+
+
+def _checkers_reading(name):
+    """The ``CHECKERS`` whose function reads ``name`` from verify's namespace,
+    itself or through verify's module-level helpers."""
+    tree = ast.parse(Path(verify_module.__file__).read_text())
+    reads = {
+        f.name: {node.id for node in ast.walk(f) if isinstance(node, ast.Name)}
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+    }
+
+    def reaches(func):
+        return name in reads[func] or any(reaches(h) for h in reads[func] & reads.keys() - {func})
+
+    return [checker for checker, (func, _limits) in CHECKERS.items() if reaches(func.__name__)]
+
+
 class TestEnumerate:
     def test_strict_partitions_of_six(self):
         got = list(enumerate_family(FamilySpec(6, strict=True)))
@@ -534,6 +562,80 @@ class TestCheckers:
             assert report.counts and all(v > 0 for v in report.counts.values()), report.line()
             assert isinstance(report.elapsed_s, float) and report.elapsed_s >= 0, report.line()
         assert {r.name: r.counts for r in reports if r.name in pinned} == pinned
+
+    @pytest.mark.parametrize(
+        "stat,fault,failing",
+        [
+            pytest.param(
+                "alternating_index",
+                lambda real: lambda p: real(p) + 2 * (dur2(p) >= 3),
+                {"THM13", "GF5", "SYLVESTER"},
+                id="alternating_index+2_at_side_3",
+            ),
+            pytest.param(
+                # a gap: side 4 first occurs at n = 28 (7+7+7+7), past every
+                # desk bound of the checkers that read the alternating index
+                "alternating_index",
+                lambda real: lambda p: real(p) + 2 * (dur2(p) >= 4),
+                set(),
+                id="alternating_index+2_at_side_4",
+            ),
+            pytest.param(
+                "k_measure",
+                lambda real: lambda p, k: real(p, k) + (k == 2 and p.length >= 8),
+                {"PROP_2MEASURE", "EQ_2MEASURE_P"},
+                id="k_measure_2+1_at_length_8",
+            ),
+            pytest.param(
+                "k_measure",
+                lambda real: lambda p, k: real(p, k) + (k == 3 and p.length >= 6),
+                {"EQ31"},
+                id="k_measure_3+1_at_length_6",
+            ),
+            pytest.param(
+                # a gap: a strict partition of length 7 needs n >= 28, past
+                # every desk bound but PROP_2MEASURE's n <= 40
+                "sol",
+                lambda real: lambda p: real(p) + 2 * (p.length >= 7),
+                {"PROP_2MEASURE"},
+                id="sol+2_at_length_7",
+            ),
+            pytest.param(
+                "sol",
+                lambda real: lambda p: real(p) - 3 * (p.length >= 3),
+                {"PROP_2MEASURE", "EQ11", "THM12", "THM13", "SYLVESTER", "GLAISHER_COUNTEREX"},
+                id="sol-3_at_length_3",
+            ),
+            pytest.param(
+                "dur2",
+                lambda real: lambda p: real(p) + (bool(p) and p.parts[0] >= 21),
+                {"THM12", "THM13", "COROLLARY", "GF4", "GF5", "SYLVESTER"},
+                id="dur2+1_at_largest_part_21",
+            ),
+            pytest.param(
+                "parity_index",
+                lambda real: lambda parts: real(parts) + (len(parts) >= 9),
+                {"LEMMA51"},
+                id="parity_index+1_on_9_values",
+            ),
+            pytest.param(
+                # a gap: GF4 tallies (sub-side, side) without the type, so a
+                # type error that keeps both passes it
+                "dur2_sub",
+                _calling_type_ii_from_side_2_type_i,
+                {"THM12", "COROLLARY"},
+                id="dur2_sub_type_ii_as_type_i_at_side_2",
+            ),
+        ],
+    )
+    def test_mutant_fails_exactly_these_desk_checkers(self, monkeypatch, stat, fault, failing):
+        # what a desk PASS catches: one statistic broken in verify's
+        # namespace, every desk checker that reads it run, and the set that
+        # fails pinned, an empty one included
+        monkeypatch.setattr(verify_module, stat, fault(getattr(verify_module, stat)))
+        readers = _checkers_reading(stat)
+        assert readers
+        assert {name for name in readers if not verify(name)} == failing
 
 
 class TestReports:
