@@ -3,10 +3,10 @@
 Every check is exact: a checker walks each family and size once with
 ``core.partitions`` and tallies by statistic (``_enumeration_series``
 returns one series per key from that one walk), and series are compared
-coefficientwise.  THM12, THM13 and COROLLARY tally odd partitions by the
-strict cell their Durfee statistics name, strict partitions by that cell's
-statistics, and compare the two.  Each ``check_*`` returns what it counted,
-or raises ``Counterexample`` at the first failure; ``verify`` turns either
+coefficientwise.  THM12, THM13 and COROLLARY tally odd partitions at the
+strict cell their Durfee statistics name, strict partitions at their own,
+and compare the two series.  Each ``check_*`` returns what it counted, or
+raises ``Counterexample`` at the first failure; ``verify`` turns either
 into a ``VerificationReport`` under the checker's name and bounds.
 """
 
@@ -105,50 +105,43 @@ def check_eq_2measure_p(order: int) -> dict:
 
 def _check_cells(nmax: int, odd_key, strict_key) -> dict:
     """Odd partitions tallied by ``odd_key`` against strict partitions
-    tallied by ``strict_key``, for every n in 1..nmax, over the cells either
-    side holds, up to the first cell where the counts differ."""
-    checked = 0
-    for n in range(1, nmax + 1):
-        odd = Counter(map(odd_key, partitions(n, odd=True)))
-        strict = Counter(map(strict_key, partitions(n, distinct=True)))
-        for cell in sorted(odd.keys() | strict.keys()):
-            checked += 1
-            a, b = odd[cell], strict[cell]
-            if a != b:
-                raise Counterexample(f"n={n} cell {cell}: odd {a} != strict {b}")
-    return {"cells": checked}
+    tallied by ``strict_key``, each an exponent pair (x, y), as series to
+    order ``nmax``; the count is the cells the odd side holds."""
+    (odd,) = _enumeration_series(nmax, odd_key, odd=True)
+    (strict,) = _enumeration_series(nmax, strict_key, distinct=True)
+    return {"cells": compare_series(odd, strict, "odd against strict: ")}
 
 
 def check_thm12(nmax: int) -> dict:
     """Type I/II Durfee-square counts against strict-partition counts.
 
-    Odd partitions are tallied by their strict-side cell: type I at Durfee
-    side k, sub-side m goes to (2k, 2m), type II to (2k-1, 2m+1).  Strict
-    partitions are tallied by (parts, odd runs).
+    Odd partitions are tallied at their strict-side cell x^(odd runs)
+    y^(parts): type I at Durfee side k, sub-side m at (2m, 2k), type II at
+    (2m+1, 2k-1).  Strict partitions are tallied as in GF_SOL_LEN.
     """
 
     def odd_key(p):
-        kind, m = dur2_sub(p)
+        kind, m = dur2_sub(p) if p else (DurfeeType.TYPE_I, 0)
         type_ii = kind is DurfeeType.TYPE_II
-        return 2 * dur2(p) - type_ii, 2 * m + type_ii
+        return 2 * m + type_ii, 2 * dur2(p) - type_ii
 
-    return _check_cells(nmax, odd_key, lambda p: (p.length, sol(p)))
+    return _check_cells(nmax, odd_key, lambda p: (sol(p), p.length))
 
 
 def check_thm13(nmax: int) -> dict:
     """Alternating-index counts against strict-partition counts.
 
     Odd partitions with Durfee side k and alternating index m are tallied
-    at (2k - m % 2, m), strict partitions by (parts, odd runs).  A strict
+    at (m, 2k - m % 2), strict partitions by (odd runs, parts).  A strict
     partition's parts and odd runs share parity, so a strict cell of mixed
     parity has no odd preimage and fails against 0.
     """
 
     def odd_key(p):
         m = alternating_index(p)
-        return 2 * dur2(p) - m % 2, m
+        return m, 2 * dur2(p) - m % 2
 
-    return _check_cells(nmax, odd_key, lambda p: (p.length, sol(p)))
+    return _check_cells(nmax, odd_key, lambda p: (sol(p), p.length))
 
 
 def check_corollary(nmax: int) -> dict:
@@ -161,9 +154,9 @@ def check_corollary(nmax: int) -> dict:
     """
 
     def odd_key(p):
-        return 2 * dur2(p) - (dur2_sub(p)[0] is DurfeeType.TYPE_II)
+        return 0, 2 * dur2(p) - (bool(p) and dur2_sub(p)[0] is DurfeeType.TYPE_II)
 
-    return _check_cells(nmax, odd_key, lambda p: p.length)
+    return _check_cells(nmax, odd_key, lambda p: (0, p.length))
 
 
 def _check_against_sol_len(order, built, enumerated, reindex) -> dict:
@@ -467,9 +460,9 @@ CHECKERS = {
     "EQ11": (check_eq11, {"order": (0, 25)}),
     "EQ31": (check_eq31, {"order": (0, 22), "k": (1, None)}),
     "EQ_2MEASURE_P": (check_eq_2measure_p, {"order": (0, 20)}),
-    "THM12": (check_thm12, {"nmax": (1, 26)}),
-    "THM13": (check_thm13, {"nmax": (1, 26)}),
-    "COROLLARY": (check_corollary, {"nmax": (1, 26)}),
+    "THM12": (check_thm12, {"nmax": (0, 26)}),
+    "THM13": (check_thm13, {"nmax": (0, 26)}),
+    "COROLLARY": (check_corollary, {"nmax": (0, 26)}),
     "GF4": (check_gf4, {"order": (0, 25)}),
     "GF5": (check_gf5, {"order": (0, 25)}),
     "SYLVESTER": (check_sylvester, {"nmax": (0, 26)}),

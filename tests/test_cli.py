@@ -237,9 +237,9 @@ class TestVerify:
             ("verify", "PROP_2MEASURE", "--nmax", "-1"),
             ("verify", "EQ11", "--order", "-1"),
             ("verify", "LEMMA51", "--m", "0"),
-            ("verify", "THM12", "--nmax", "0"),
-            ("verify", "THM13", "--nmax", "0"),
-            ("verify", "COROLLARY", "--nmax", "0"),
+            ("verify", "THM12", "--nmax", "-1"),
+            ("verify", "THM13", "--nmax", "-1"),
+            ("verify", "COROLLARY", "--nmax", "-1"),
             ("table", "involution", "--n", "-1"),
             ("verify", "LEMMA51", "--order", "0"),
             ("verify", "LEMMA51", "--order", "9", "--m", "10"),

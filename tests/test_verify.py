@@ -217,7 +217,13 @@ class TestCheckers:
                 "EQ31 order<=5 FAIL",
                 "k=1 q^1 x^0 y^1: built 0, expected 1",
             ),
-            ("sol", "THM12", {"nmax": 3}, "THM12 n<=3 FAIL", "n=1 cell (1, 0): odd 0 != strict 1"),
+            (
+                "sol",
+                "THM12",
+                {"nmax": 3},
+                "THM12 n<=3 FAIL",
+                "odd against strict: q^1 x^0 y^1: built 0, expected 1",
+            ),
             (
                 "dur2",
                 "GF4",
@@ -252,7 +258,7 @@ class TestCheckers:
                 "THM13",
                 {"nmax": 3},
                 "THM13 n<=3 FAIL",
-                "n=1 cell (1, 1): odd 0 != strict 1",
+                "odd against strict: q^1 x^0 y^2: built 1, expected 0",
             ),
             (
                 "alternating_index",
@@ -266,7 +272,7 @@ class TestCheckers:
                 "COROLLARY",
                 {"nmax": 3},
                 "COROLLARY n<=3 FAIL",
-                "n=1 cell -1: odd 1 != strict 0",
+                "1: key (0, -1) has a negative exponent",
             ),
         ],
     )
@@ -471,31 +477,34 @@ class TestCheckers:
     @pytest.mark.parametrize("name", ["THM12", "THM13", "COROLLARY"])
     def test_cell_count_is_the_cells_a_passing_check_compares(self, name):
         # a passing check compares each strict cell that occurs, once per
-        # size: the (parts, odd runs) pairs, odd runs counted from runs, not
-        # sol, or for COROLLARY the lengths
+        # size from n = 0 on: the (odd runs, parts) pairs, odd runs counted
+        # from runs, not sol, or for COROLLARY the lengths
         def cell(p):
             odd_runs = sum(1 for run in runs(p) if len(run) % 2)
-            return p.length if name == "COROLLARY" else (p.length, odd_runs)
+            return p.length if name == "COROLLARY" else (odd_runs, p.length)
 
         expected = 0
-        for nmax in range(1, 13):
+        for nmax in range(13):
             expected += len({cell(p) for p in partitions(nmax, distinct=True)})
             assert verify(name, nmax=nmax).counts == {"cells": expected}
 
     def test_check_cells_fails_on_a_cell_only_one_side_holds(self):
-        # by largest part, n = 1 matches (1 against 1), but at n = 2 the odd
-        # 1+1 sits at 1 and the strict 2 at 2; negated, the strict cell
-        # sorts first
+        # by largest part, n <= 1 matches, but at n = 2 the odd 1+1 sits at
+        # x^1 and the strict 2 at x^2; by the rest beside the largest part,
+        # the strict 2 sits at x^0 and sorts before the odd 1+1 at x^1
         def largest(p):
-            return p.parts[0]
+            return (p.parts[0] if p else 0), 0
 
-        assert _check_cells(1, largest, largest) == {"cells": 1}
+        def rest(p):
+            return p.size - largest(p)[0], 0
+
+        assert _check_cells(1, largest, largest) == _check_cells(1, rest, rest) == {"cells": 2}
         with pytest.raises(Counterexample) as odd_only:
             _check_cells(3, largest, largest)
-        assert str(odd_only.value) == "n=2 cell 1: odd 1 != strict 0"
+        assert str(odd_only.value) == "odd against strict: q^2 x^1 y^0: built 1, expected 0"
         with pytest.raises(Counterexample) as strict_only:
-            _check_cells(3, lambda p: -largest(p), lambda p: -largest(p))
-        assert str(strict_only.value) == "n=2 cell -2: odd 0 != strict 1"
+            _check_cells(3, rest, rest)
+        assert str(strict_only.value) == "odd against strict: q^2 x^0 y^0: built 0, expected 1"
 
     @pytest.mark.parametrize(
         "zero,witness",
@@ -540,9 +549,9 @@ class TestCheckers:
             "EQ11": {"terms": 157},
             "EQ31": {"terms": 340},
             "EQ_2MEASURE_P": {"terms": 457},
-            "THM12": {"cells": 167},
-            "THM13": {"cells": 167},
-            "COROLLARY": {"cells": 106},
+            "THM12": {"cells": 168},
+            "THM13": {"cells": 168},
+            "COROLLARY": {"cells": 107},
             "GF4": {"terms": 230},
             "GF5": {"terms": 314},
             "SYLVESTER": {"partitions": 1069},
