@@ -330,7 +330,7 @@ def _hook_lengths(p: Partition) -> list[int]:
     widths = []
     for part in p.parts:
         if part % 2 == 0:
-            raise ValueError(f"right-border drawing needs odd parts, got {part}")
+            raise ValueError(f"Sylvester's map needs odd parts, got {part}")
         widths.append((part + 1) // 2)
     k = dur2(p)
     below = widths[k:]

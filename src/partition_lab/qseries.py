@@ -8,9 +8,14 @@ a, b shared, by two steps that cost O(terms) per factor: multiplying by a
 factor is one shifted add, and dividing by it (s >= 1) walks the exact
 recurrence g[k] = f[k] + c g[k - (s, a, b)] in increasing q, so no inverse
 series is ever formed.  A division run keeps one working dict and one index
-of its keys by q-level across all its factors; a product run takes one copy
-per factor.  The public constructor validates every exponent; only the two
-binomial steps store their own output unchecked and uncopied, with no zero
+of its keys by q-level across all its factors, and takes them largest shift
+first: a factor with shift s walks only the levels q <= N - s, so the dict
+stays small until the last, small shifts, and the factors commute, so the
+quotient is the same.  A product run takes one copy per factor, in the
+order given; the Pochhammer envelopes give ascending shifts, which shrink a
+cancelling sum fastest.  The public constructor validates every exponent
+and keeps each validated key, in a dict of its own; only the two binomial
+steps store their own output unchecked and uncopied, with no zero
 coefficient, because their bounds keep every exponent nonnegative and
 within the order.  Every named series is one of two sums: a double sum in
 nested Horner form over one-factor runs, or one recurrence loop, which
@@ -51,12 +56,13 @@ class MultiSeries:
         self.order = order
         kept: dict[Key, int] = {}
         if terms:
-            for (q, x, y), coeff in terms.items():
+            for key, coeff in terms.items():
+                q, x, y = key
                 if q < 0 or x < 0 or y < 0:
                     raise ValueError(f"negative exponent in term {(q, x, y)}")
                 if coeff == 0 or q > order:
                     continue
-                kept[(q, x, y)] = coeff
+                kept[key] = coeff  # the validated key itself, not a copy
         self.terms = kept
 
     @classmethod
@@ -178,27 +184,32 @@ class MultiSeries:
 
     def _over_binomial(self, c: int, shifts, a: int, b: int) -> "MultiSeries":
         """This series divided by (1 - c q^s x^a y^b) for each s in
-        ``shifts``, in order, each by the exact recurrence
-        g[k] = f[k] + c g[k - (s, a, b)].
+        ``shifts``, each by the exact recurrence
+        g[k] = f[k] + c g[k - (s, a, b)], largest shift first.
 
-        One working dict and one index of its keys by q-level serve the
-        whole run; each new key joins its level.  The levels are walked in
-        increasing q, so each g[k] is final before it feeds k + (s, a, b)
-        on a higher level.  A coefficient that cancels stays as 0, and is
-        skipped, until the run ends: deleted, it could join its level a
-        second time.  A shift with s < 1 gives no such order, and no
-        inverse, so it is rejected.
+        The factors commute, so their order leaves the truncated quotient
+        unchanged, but not its cost: a factor with shift s walks only the
+        levels q <= order - s, so the large shifts run while the dict is
+        still small, and the small shifts, which walk nearly every level,
+        come last.  One working dict and one index of its keys by q-level
+        serve the whole run; each new key joins its level.  The levels are
+        walked in increasing q, so each g[k] is final before it feeds
+        k + (s, a, b) on a higher level.  A coefficient that cancels stays
+        as 0, and is skipped, until the run ends: deleted, it could join
+        its level a second time.  A shift with s < 1 gives no such order,
+        and no inverse, so the whole run is rejected before any walk.
         """
         if a < 0 or b < 0:
             raise ValueError(f"negative exponent in binomial {(a, b)}")
+        shifts = sorted(shifts, reverse=True)
+        if shifts and shifts[-1] < 1:
+            raise ValueError(f"binomial {(shifts[-1], a, b)} is not invertible under this truncation")
         order = self.order
         out = dict(self.terms)
         levels: list[list[Key]] = [[] for _ in range(order + 1)]
         for key in out:
             levels[key[0]].append(key)
         for s in shifts:
-            if s < 1:
-                raise ValueError(f"binomial {(s, a, b)} is not invertible under this truncation")
             for level in range(order + 1 - s):
                 above = levels[level + s]
                 for key in levels[level]:
@@ -450,13 +461,15 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple[int, int], int] | None = None) -> None:
-        self.terms = {}
+        kept: dict[tuple[int, int], int] = {}
         if terms:
-            for (q, x), coeff in terms.items():
+            for key, coeff in terms.items():
+                _q, x = key
                 if x < 0:
                     raise ValueError("x-exponents are nonnegative")
                 if coeff:
-                    self.terms[(q, x)] = coeff
+                    kept[key] = coeff  # the validated key itself, not a copy
+        self.terms = kept
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -477,7 +490,10 @@ class LaurentPoly:
         One shifted add per factor, into a fresh copy of the previous
         factor's terms, deleting a coefficient as soon as it cancels: the
         step of ``MultiSeries._times_binomial`` without its truncation, as
-        q may go negative here.  A factor with coeff 0 is 1."""
+        q may go negative here.  A factor with coeff 0 is 1; a negative
+        length is rejected, as in ``pochhammer``."""
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
         out = {(0, 0): 1}
         for t in range(n if coeff else 0):
             shift = q_start + step * t

@@ -281,6 +281,10 @@ class TestErrors:
         code, _, err = run(capsys, "map", "sylvester", "4+1")
         assert code == 2 and "4" in err
 
+    def test_sylvester_names_itself_on_an_even_part(self, capsys):
+        code, out, err = run(capsys, "map", "sylvester", "4+2")
+        assert (code, out, err) == (2, "", "error: Sylvester's map needs odd parts, got 4\n")
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

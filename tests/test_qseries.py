@@ -86,6 +86,21 @@ class TestRingOps:
         with pytest.raises(ValueError):
             MultiSeries(3, {(-1, 0, 0): 1})
 
+    def test_constructors_do_not_alias_the_callers_dict(self):
+        # the checked constructors keep the caller's keys, in a dict of their
+        # own: a change on either side leaves the other as it was
+        for make, kept, zero in (
+            (lambda terms: MultiSeries(ORDER, terms), {(1, 0, 0): 2, (2, 1, 1): -1}, (3, 0, 0)),
+            (LaurentPoly, {(-1, 0): 2, (2, 1): -1}, (3, 0)),
+        ):
+            given = {**kept, zero: 0}
+            built = make(given)
+            assert built.terms == kept and built.terms is not given
+            given[zero] = 7
+            assert built.terms == kept
+            built.terms.clear()
+            assert given == {**kept, zero: 7}
+
     def test_scalar_and_pow(self):
         # a series adds and multiplies only another series; an int is not promoted
         a = MultiSeries.term(2, ORDER, q=1)
@@ -201,6 +216,25 @@ class TestBinomialSteps:
         for shifts in ((0,), (2, 0)):
             with pytest.raises(ValueError):
                 f._over_binomial(1, shifts, 1, 0)
+
+    def test_long_division_run_in_any_order(self):
+        # a run of 24 shifts, given ascending, descending and shuffled with a
+        # repeated shift, equals dividing by one factor at a time in the
+        # order given: taking the largest shift first changes no coefficient
+        order = 36
+        f = MultiSeries(order, {(0, 0, 0): 1, (3, 1, 0): -2, (5, 0, 1): 1, (7, 2, 1): 3})
+        shuffled = [9, 17, 2, 24, 13, 5, 20, 1, 11, 6, 22, 15, 3, 18, 8, 23, 12, 4, 19, 10,
+                    14, 7, 21, 16, 5]
+        assert sorted(set(shuffled)) == list(range(1, 25)) and len(shuffled) == 25
+        for c, a, b in ((1, 0, 1), (-1, 1, 0), (2, 0, 0)):
+            for shifts in (range(1, 25), range(24, 0, -1), shuffled):
+                one_at_a_time = f
+                for s in shifts:
+                    one_at_a_time = one_at_a_time._over_binomial(c, (s,), a, b)
+                result = f._over_binomial(c, iter(shifts), a, b)
+                assert result == one_at_a_time
+                assert result == MultiSeries(order, result.terms)
+                assert all(result.terms.values())
 
     def test_no_builder_calls_invert(self, monkeypatch):
         # builders divide only by binomial steps and multiply a series only
@@ -491,7 +525,7 @@ class TestDeepCrossChecks:
         assert at_x_y_one(build(name, 150)) == strict_counts(150)
 
     def test_all_partition_series_counts_p_n(self):
-        assert at_x_y_one(build("GF_2MEASURE_P", 60)) == partition_counts(60)
+        assert at_x_y_one(build("GF_2MEASURE_P", 150)) == partition_counts(150)
 
     def test_two_measure_sides_agree(self):
         # THM11: the run double sum equals the alternating Pochhammer sum
@@ -545,6 +579,13 @@ class TestLaurentPoly:
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             LaurentPoly({(0, -1): 1})
+
+    def test_poch_rejects_a_negative_length(self):
+        # as pochhammer does; a negative length is not the empty product
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match="^n must be nonnegative, got -2$"):
+                LaurentPoly.poch(coeff, 0, 1, -2)
+        assert LaurentPoly.poch(1, 0, 1, 0) == LaurentPoly.one()
 
     def test_non_polynomial_operands_raise_type_error(self):
         one = LaurentPoly.one()
