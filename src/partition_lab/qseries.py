@@ -432,12 +432,15 @@ SERIES_NAMES = tuple(_BUILDERS)
 
 
 def build(name: str, order: int, **params) -> MultiSeries:
-    """Construct a named series at the given truncation order.  Each one
-    weights y by a length or a Durfee side, so y <= q is checked here."""
+    """Construct a named series at the given truncation order, which must be
+    an int and not a bool.  Each one weights y by a length or a Durfee
+    side, so y <= q is checked here."""
     try:
         builder, wanted = _BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown series {name!r}; choose from {SERIES_NAMES}") from None
+    if type(order) is not int:  # bool is an int subclass
+        raise ValueError(f"series {name} needs an integer order, got {order!r}")
     missing = [p for p in wanted if p not in params]
     if missing:
         raise ValueError(f"series {name} needs parameter(s) {missing}")

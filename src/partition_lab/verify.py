@@ -5,9 +5,11 @@ Every check is exact: a checker walks each family and size once with
 returns one series per key from that one walk), and series are compared
 coefficientwise.  THM12, THM13 and COROLLARY tally odd partitions at the
 strict cell their Durfee statistics name, strict partitions at their own,
-and compare the two series.  Each ``check_*`` returns what it counted, or
-raises ``Counterexample`` at the first failure; ``verify`` turns either
-into a ``VerificationReport`` under the checker's name and bounds.
+and compare the two series.  LEMMA51 walks each size of the rest below
+one largest part once and tops each rest with every largest part m it
+allows.  Each ``check_*`` returns what it counted, or raises
+``Counterexample`` at the first failure; ``verify`` turns either into a
+``VerificationReport`` under the checker's name and bounds.
 """
 
 from __future__ import annotations
@@ -316,19 +318,31 @@ def check_involution(nmax: int) -> dict:
 def check_lemma51(mmax: int, order: int) -> dict:
     """Parity-index series over fixed largest part against enumeration,
     plus the odd-gap decomposition round trip on every partition of
-    n <= 14, whatever the bounds."""
+    n <= 14, whatever the bounds.
+
+    A partition with largest part m is one largest part m on top of a rest
+    whose parts are at most m.  Each rest size s < order is walked once,
+    capped at min(mmax, order - s), and tallied by (t, i): t is the rest's
+    largest part (0 when empty), i the parity index of its ascending
+    scan 0, parts.  Topping the rest with m >= t adds one last step from t
+    to m, so the rest counts at q^(s+m) x^(i + (m - t) % 2) in series m
+    for every m from max(t, 1) up to the cap."""
     if order < mmax:
         raise ValueError(f"LEMMA51 needs order >= mmax, got order {order} < mmax {mmax}")
+    terms: list[Counter] = [Counter() for _m in range(mmax + 1)]
+    for s in range(order):
+        cap = min(mmax, order - s)
+        tally = Counter(
+            (rest.parts[0] if rest.parts else 0, parity_index(rest.parts[::-1]))
+            for rest in partitions(s, max_part=cap)
+        )
+        for (t, i), count in tally.items():
+            for m in range(max(t, 1), cap + 1):
+                terms[m][(s + m, i + (m - t) % 2, 0)] += count
     compared = 0
     for m in range(1, mmax + 1):
         built = qseries.build("GF_PARITY", order, m=m)
-        terms: dict[tuple[int, int, int], int] = {}
-        for n in range(m, order + 1):
-            rests = partitions(n - m, max_part=m)  # every part but one largest m
-            indices = Counter(parity_index(rest.parts[::-1] + (m,)) for rest in rests)
-            for index, count in indices.items():
-                terms[(n, index, 0)] = count
-        compared += compare_series(built, MultiSeries(order, terms), f"m={m} ")
+        compared += compare_series(built, MultiSeries(order, terms[m]), f"m={m} ")
     round_trips = 0
     for n in range(15):
         for p in partitions(n):

@@ -490,6 +490,15 @@ class TestBuilders:
             with pytest.raises(ValueError, match="m must be a positive integer"):
                 build("GF_PARITY", 5, m=bad)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 2.0, "5", None])
+    def test_build_rejects_an_order_that_is_not_an_int(self, bad):
+        # a bool would build a series whose order is True, a float fail
+        # inside range(); each names the series, as verify() names a checker
+        for name in ("LHS_THM11", "GF_PARITY"):
+            params = {"m": 1} if name == "GF_PARITY" else {}
+            with pytest.raises(ValueError, match=f"^series {name} needs an integer order, got {bad!r}$"):
+                build(name, bad, **params)
+
 
 def strict_counts(order):
     """q(n) for n <= order: each part used at most once."""

@@ -12,7 +12,7 @@ import pytest
 import partition_lab
 from partition_lab import maps, qseries
 from partition_lab import verify as verify_module
-from partition_lab.core import parse, partitions, runs, sol
+from partition_lab.core import parity_index, parse, partitions, runs, sol
 from partition_lab.qseries import LaurentPoly, MultiSeries
 from partition_lab.report import Counterexample, VerificationReport, compare_series
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
@@ -236,7 +236,10 @@ class TestCheckers:
                 "LEMMA51",
                 {"mmax": 3, "order": 5},
                 "LEMMA51 m<=3 order<=5 FAIL",
-                "m=1 q^1 x^0 y^0: built 0, expected 1",
+                # the empty rest's index is 0 either way, and the top step
+                # still gives q^1 index 1; the rest 1 of q^2 is the first
+                # one the broken index reads
+                "m=1 q^2 x^0 y^0: built 0, expected 1",
             ),
             ("sol", "EQ11", {"order": 5}, "EQ11 order<=5 FAIL", "q^1 x^0 y^1: built 0, expected 1"),
             (
@@ -446,6 +449,46 @@ class TestCheckers:
         monkeypatch.setattr(verify_module, "partitions", counted)
         assert verify(name, **bounds)
         assert walked == list(range(bounds["order"] + 1))
+
+    def test_lemma51_walks_each_rest_size_once(self, monkeypatch):
+        # one capped walk of each rest size serves every largest part m,
+        # then the round trips walk n <= 14 unrestricted
+        walked = []
+        real = verify_module.partitions
+
+        def counted(n, **family):
+            walked.append((n, family))
+            return real(n, **family)
+
+        monkeypatch.setattr(verify_module, "partitions", counted)
+        assert verify("LEMMA51", mmax=4, order=12)
+        rests = [(s, {"max_part": min(4, 12 - s)}) for s in range(12)]
+        assert walked == rests + [(n, {}) for n in range(15)]
+
+    def test_lemma51_against_a_tally_of_whole_partitions(self, monkeypatch):
+        # the oracle scans each whole partition 0, parts ascending, so it
+        # checks the rest tally's last step from the rest's largest part t
+        # to m, and each partition is counted once under its own m
+        order = 18
+        real_build = qseries.build
+        built_for = []
+
+        def oracle(name, order_, **params):
+            if name != "GF_PARITY":
+                return real_build(name, order_, **params)
+            built_for.append(params["m"])
+            terms = Counter(
+                (n, parity_index(p.parts[::-1]), 0)
+                for n in range(order_ + 1)
+                for p in partitions(n)
+                if p.parts and p.parts[0] == params["m"]
+            )
+            return MultiSeries(order_, terms)
+
+        monkeypatch.setattr(qseries, "build", oracle)
+        report = verify("LEMMA51", mmax=6, order=order)
+        assert report.passed, report.witness
+        assert built_for == [1, 2, 3, 4, 5, 6]
 
     def test_verify_all_runs_every_checker(self, monkeypatch):
         # shrink the bounds so the full sweep stays fast
