@@ -60,13 +60,16 @@ class Partition:
         return all(part % 2 for part in self.parts)
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Ferrers diagram."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for part in self.parts:
-            for j in range(part):
-                cols[j] += 1
+        """Transpose of the Ferrers diagram: scanning the parts from the
+        smallest, the columns past the previous part up to this one are as
+        tall as the rows that remain."""
+        cols: list[int] = []
+        height = self.length
+        prev = 0
+        for part in reversed(self.parts):
+            cols += [height] * (part - prev)
+            prev = part
+            height -= 1
         return Partition(cols)
 
     def __bool__(self) -> bool:

@@ -17,7 +17,7 @@ from .shapes import dur2
 class LabeledPartition:
     """A partition whose parts carry an X or Y label.
 
-    Entries are (value, is_x) pairs, and a label must be a ``bool``.
+    Entries are (value, is_x) tuples, and a label must be a ``bool``.
     Canonical order: values descending, the X-labeled copy of a value before
     its Y-labeled copies, which is descending order on the pairs themselves.
     Validity: each X-labeled value appears X-labeled exactly once, and no
@@ -37,20 +37,30 @@ class LabeledPartition:
     smallest_y: int | None  # the last Y entry in canonical order
 
     def __init__(self, entries=()) -> None:
-        normal = []
+        # one pass over the entries in canonical order checks each entry
+        # and its neighbour above
+        given = tuple(entries)
+        try:
+            normal = sorted(given, reverse=True)
+        except TypeError:
+            # only an entry that is not an (int, bool) tuple stops the sort;
+            # built alone, with no neighbour to misjudge, the first such
+            # entry in the given order names itself
+            for entry in given:
+                LabeledPartition((entry,))
+            raise
         size = x_count = 0
-        for value, is_x in entries:
+        above = None  # the value before the current entry in canonical order
+        smallest_y = None
+        for entry in normal:
+            if type(entry) is not tuple:  # stored, hashed and searched as a tuple
+                raise ValueError(f"entries must be (value, label) tuples, got {entry!r}")
+            value, is_x = entry
             if type(value) is not int or value < 1:  # bool is an int subclass
                 raise ValueError(f"part values must be positive integers, got {value!r}")
             if type(is_x) is not bool:
                 raise ValueError(f"labels must be bools, got {is_x!r}")
-            normal.append((value, is_x))
             size += value
-            x_count += is_x
-        normal.sort(reverse=True)
-        above = None  # the value before the current entry in canonical order
-        smallest_y = None
-        for value, is_x in normal:
             if not is_x:
                 smallest_y = value
             elif above == value:
@@ -59,6 +69,8 @@ class LabeledPartition:
                 raise ValueError(
                     f"X-labeled {value} cannot coexist with a part {value + 1}"
                 )
+            else:
+                x_count += 1
             above = value
         self.entries = tuple(normal)
         self.size = size
@@ -265,19 +277,19 @@ def enumerate_labeled(n: int) -> list[LabeledPartition]:
     """All valid labeled partitions of total size ``n``."""
     found: list[LabeledPartition] = []
     for p in partitions(n):
-        values = sorted(set(p.parts), reverse=True)
-        present = set(values)
-        eligible = [v for v in values if v + 1 not in present]
+        counts: dict[int, int] = {}  # value -> multiplicity, values descending
+        for part in p.parts:
+            counts[part] = counts.get(part, 0) + 1
+        eligible = [v for v in counts if v + 1 not in counts]
         for mask in range(1 << len(eligible)):
             chosen = {v for idx, v in enumerate(eligible) if mask >> idx & 1}
             entries = []
-            for v in values:
-                count = p.multiplicity(v)
+            for v, count in counts.items():
                 if v in chosen:
                     entries.append((v, True))
-                    entries.extend((v, False) for _ in range(count - 1))
+                    entries += [(v, False)] * (count - 1)
                 else:
-                    entries.extend((v, False) for _ in range(count))
+                    entries += [(v, False)] * count
             found.append(LabeledPartition(entries))
     return found
 
@@ -326,7 +338,10 @@ def _hook_lengths(p: Partition) -> list[int]:
     # row widths w of the right-border 2-modular diagram and its Durfee side
     # k: hook i has w_i - i + 1 cells in row i and one in every lower row
     # reaching column i; its 1-cells are the one in column k of row i and
-    # the last cell of each row below the square that ends in column i
+    # the last cell of each row below the square that ends in column i.
+    # The widths do not increase, so the rows reaching column i are the
+    # first ``reach`` rows, and ``reach`` only moves up as i grows; every
+    # row of the square reaches column k, so reach >= i
     widths = []
     for part in p.parts:
         if part % 2 == 0:
@@ -335,8 +350,11 @@ def _hook_lengths(p: Partition) -> list[int]:
     k = dur2(p)
     below = widths[k:]
     out: list[int] = []
+    reach = len(widths)
     for i in range(1, k + 1):
-        cells = widths[i - 1] - i + 1 + sum(1 for w in widths[i:] if w >= i)
+        while widths[reach - 1] < i:
+            reach -= 1
+        cells = widths[i - 1] + reach - 2 * i + 1
         out.append(cells)
         out.append(cells - 1 - below.count(i))
     return out
@@ -401,16 +419,25 @@ def lemma51_decompose(p: Partition) -> tuple[Partition, Partition]:
     one cell from each row above it and records the row index in the first
     component; what remains has all even parts.  The first component is
     strict with as many parts as the parity index of the reversed part list.
+
+    One bottom-up pass does it: a gap recorded below rows i - 1 and i took
+    one cell from both, so the gap between them keeps the parity it has in
+    ``p``, and row i - 1 ends with one cell fewer per index recorded so far,
+    its own included.
     """
-    work = list(p.parts)
     sigma: list[int] = []
-    for i in range(len(work), 0, -1):
-        below = work[i] if i < len(work) else 0
-        if (work[i - 1] - below) % 2:
-            for j in range(i):
-                work[j] -= 1
+    rest: list[int] = []  # what remains of each row, bottom-up
+    below = 0
+    i = p.length
+    for part in reversed(p.parts):  # part is row i
+        if (part - below) % 2:
             sigma.append(i)
-    tau = Partition(part for part in work if part)
+        left = part - len(sigma)
+        if left:
+            rest.append(left)
+        below = part
+        i -= 1
+    tau = Partition(rest)
     sigma_p = Partition(sigma)
     if not sigma_p.is_strict() or any(part % 2 for part in tau.parts):
         raise RuntimeError(f"odd-gap decomposition of {p} gave {sigma_p}, {tau}")

@@ -22,8 +22,10 @@ nested Horner form over one-factor runs, or one recurrence loop, which
 QBINOM runs as the Pochhammer builders do; the product envelopes are one
 run each.  XQ2's Gaussian binomials are two runs, truncated at their
 degree; there is no q-Pascal table.  LaurentPoly quarantines the negative
-q-powers required by the terminating hypergeometric checks; its finite
-Pochhammer products take the same shifted add per factor, untruncated.
+q-powers required by the terminating hypergeometric checks; a factor run
+multiplies one by finitely many binomials with the same shifted add per
+factor, untruncated, and its finite Pochhammer products are one times a
+run, so QCHU builds each summand as one running polynomial.
 MultiSeries never holds a negative exponent.  No floating point anywhere.
 """
 
@@ -488,7 +490,13 @@ class LaurentPoly:
 
     @classmethod
     def poch(cls, coeff: int, q_start: int, step: int, n: int, x: int = 0) -> "LaurentPoly":
-        """Finite product of (1 - coeff * x^x * q^(q_start + step*t)), t < n.
+        """Finite product of (1 - coeff * x^x * q^(q_start + step*t)), t < n:
+        one times that factor run."""
+        return cls.one()._times_run(coeff, q_start, step, n, x)
+
+    def _times_run(self, coeff: int, q_start: int, step: int, n: int, x: int = 0) -> "LaurentPoly":
+        """This polynomial times (1 - coeff * x^x * q^(q_start + step*t)) for
+        each t < n.
 
         One shifted add per factor, into a fresh copy of the previous
         factor's terms, deleting a coefficient as soon as it cancels: the
@@ -497,7 +505,7 @@ class LaurentPoly:
         length is rejected, as in ``pochhammer``."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        out = {(0, 0): 1}
+        out = self.terms
         for t in range(n if coeff else 0):
             shift = q_start + step * t
             source, out = out, dict(out)
@@ -508,7 +516,7 @@ class LaurentPoly:
                     out[key] = total
                 else:
                     del out[key]
-        return cls(out)
+        return LaurentPoly(out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -585,7 +593,11 @@ def check_qchu(i: int, j: int) -> dict:
 
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
-    (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].
+    (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].  Each
+    summand, and the right side, is one running polynomial: its first
+    Pochhammer factor comes from ``LaurentPoly.poch`` and the others are
+    factor runs on it, so only the monomials q^n and +-q^(j(i+1)) are
+    products.
     Returns the term count and whether both sides vanish, which they must
     do exactly when j > i: the right side then carries the factor 1 - q^0
     of (q^-i; q)_j.  ``compare_series`` raises ``Counterexample`` at the
@@ -596,17 +608,13 @@ def check_qchu(i: int, j: int) -> dict:
     for n in range(j + 1):
         summand = (
             LaurentPoly.poch(-1, i + 1, 1, n)
-            * LaurentPoly.poch(1, -j, 1, n)
-            * LaurentPoly.term(1, q=n)
-            * LaurentPoly.poch(1, 2 * n + 2, 2, j - n)
+            ._times_run(1, -j, 1, n)
+            ._times_run(1, 2 * n + 2, 2, j - n)
         )
-        lhs = lhs + summand
+        lhs = lhs + LaurentPoly.term(1, q=n) * summand
     sign = -1 if j % 2 else 1
-    rhs = (
-        LaurentPoly.term(sign, q=j * (i + 1))
-        * LaurentPoly.poch(1, -i, 1, j)
-        * LaurentPoly.poch(1, 1, 1, j)
-    )
+    rhs = LaurentPoly.poch(1, -i, 1, j)._times_run(1, 1, 1, j)
+    rhs = LaurentPoly.term(sign, q=j * (i + 1)) * rhs
     terms = compare_series(lhs, rhs)
     vanishes = lhs.is_zero()
     if vanishes != (j > i):

@@ -105,6 +105,8 @@ def compare_series(built, expected, where: str = "") -> int:
     ``LaurentPoly`` has none, so it never compares with a ``MultiSeries``."""
     if getattr(built, "order", None) != getattr(expected, "order", None):
         raise ValueError("series truncation orders differ")
+    if built.terms == expected.terms:
+        return len(built.terms)
     for key in sorted(built.terms.keys() | expected.terms.keys()):
         a, b = built.terms.get(key, 0), expected.terms.get(key, 0)
         if a != b:

@@ -231,7 +231,10 @@ def _transported_stats(p: Partition, image: Partition) -> dict:
 
 
 def check_sylvester(nmax: int) -> dict:
-    """Hook bijection: statistics transport plus bijectivity at every size."""
+    """Hook bijection: statistics transport plus bijectivity at every size.
+
+    Images and strict partitions are compared as sets of part tuples:
+    partitions are equal exactly when their parts are."""
     checked = 0
     for n in range(nmax + 1):
         images = set()
@@ -240,9 +243,9 @@ def check_sylvester(nmax: int) -> dict:
             total += 1
             image = maps.sylvester(p)
             _transported_stats(p, image)
-            images.add(image)
+            images.add(image.parts)
             checked += 1
-        strict_set = set(partitions(n, distinct=True))
+        strict_set = {p.parts for p in partitions(n, distinct=True)}
         if images != strict_set or len(images) != total:
             raise Counterexample(f"image of odd partitions of {n} is not all strict partitions")
     return {"partitions": checked}
@@ -253,6 +256,17 @@ def check_involution(nmax: int) -> dict:
     sign-reversing off fixed points, cases swapping, and the fixed-point
     weights matching strict partitions by 2-measure and length.
 
+    The signed weights of size n, the sum of sign x^x y^y over every pair
+    of that size, are tallied before any pair is streamed.  A pair's x
+    and sign are its labeled side's, and its y is the sum of both sides'
+    lengths, so the sum over the pairs (lam, eta) with |lam| = s and
+    |eta| = n - s factors: tally the strict partitions of s by length,
+    the labeled partitions of n - s by (x, length) weighted by sign, and
+    add the products of the two tallies at x and the summed length.  Over
+    s = 0..n that is the same sum, term for term, as over every pair the
+    stream yields, and it must equal the strict partitions of n counted
+    by 2-measure and length.
+
     Pairs are streamed, not listed, from the strict and the labeled
     partitions of each size, listed once and shared across sizes.  Each
     pair is classified once, and each pair's image is computed once.  A
@@ -262,50 +276,59 @@ def check_involution(nmax: int) -> dict:
     1 into case 2, and equal counts of the two cases at each size make it
     onto; so every case-2 pair q is phi(p) for exactly one case-1 p, and
     phi(q) = p has been computed and checked there.  A case-2 pair thus
-    only adds to the signed weights and to its case's count."""
+    only adds to its case's count."""
     case1, case2, fixed = maps.PhiCase.CASE1, maps.PhiCase.CASE2, maps.PhiCase.FIXED
     pair_count = 0
     strict: list[list[Partition]] = []
     labeled: list[list[maps.LabeledPartition]] = []
+    lengths: list[Counter] = []  # strict[s] by length
+    signs: list[Counter] = []  # labeled[m] by (x, length), weighted by sign
     for n in range(nmax + 1):
         strict.append(list(partitions(n, distinct=True)))
         labeled.append(maps.enumerate_labeled(n))
+        lengths.append(Counter(lam.length for lam in strict[n]))
+        tally = Counter()
+        for eta in labeled[n]:
+            tally[(eta.x_count, eta.length)] += eta.sign
+        signs.append(tally)
         signed = Counter()
-        moved = Counter()  # pairs per case, off the fixed points
-        fixed_weights = Counter()
+        for s in range(n + 1):
+            for (x, eta_length), sign_sum in signs[n - s].items():
+                for lam_length, count in lengths[s].items():
+                    signed[(x, lam_length + eta_length)] += count * sign_sum
+        strict_weights = Counter((k_measure(t, 2), t.length) for t in strict[n])
+        if signed != strict_weights:
+            raise Counterexample(f"weight sums differ at total size {n}")
+        case1_count = case2_count = 0
         fixed_pairs = []
         for pair in maps._pairs(n, strict, labeled):
             pair_count += 1
-            x, y, _q = weight = pair.weight
-            sign = pair.sign
-            signed[(x, y)] += sign
             case = maps.classify_pair(pair)[0]
             if case is case2:
-                moved[case] += 1
+                case2_count += 1
                 continue
             phi_case, image = maps.involution_phi(pair)
             if case is fixed:
                 if image != pair:
                     raise Counterexample(f"case does not swap at {pair}")
-                if phi_case is not fixed or sign != 1:
+                if phi_case is not fixed or pair.sign != 1:
                     raise Counterexample(f"bad fixed point {pair}")
                 fixed_pairs.append(pair)
-                fixed_weights[(x, y)] += 1
                 continue
-            moved[case] += 1
+            case1_count += 1
             image_case, back = maps.involution_phi(image)
             if back != pair:
                 raise Counterexample(f"phi^2({pair}) = {back}")
-            if image.weight != weight:
+            if image.weight != pair.weight:
                 raise Counterexample(f"weight changed at {pair}")
             if phi_case is not case1 or image_case is not case2:
                 raise Counterexample(f"case does not swap at {pair}")
-            if image.sign != -sign:
+            if image.sign != -pair.sign:
                 raise Counterexample(f"sign kept at {pair}")
-        if moved[case1] != moved[case2]:
+        if case1_count != case2_count:
             raise Counterexample(f"case 1 and case 2 counts differ at total size {n}")
-        strict_weights = Counter((k_measure(t, 2), t.length) for t in strict[n])
-        if signed != strict_weights or fixed_weights != strict_weights:
+        fixed_weights = Counter(pair.weight[:2] for pair in fixed_pairs)
+        if fixed_weights != strict_weights:
             raise Counterexample(f"weight sums differ at total size {n}")
         if {maps.strict_to_fixed(t) for t in strict[n]} != set(fixed_pairs):
             raise Counterexample(f"fixed points at size {n} are not the strict partitions")

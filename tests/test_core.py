@@ -240,6 +240,13 @@ class TestUnionAndConjugate:
         p = parse("8+5+5+2+2+2+1")
         assert p.conjugate().conjugate() == p
 
+    def test_conjugate_counts_the_cells_of_each_column(self):
+        # column j of the diagram holds one cell for every part >= j
+        for n in range(16):
+            for p in partitions(n):
+                columns = [sum(1 for part in p.parts if part >= j) for j in range(1, n + 1)]
+                assert p.conjugate().parts == tuple(c for c in columns if c), p
+
     def test_conjugate_swaps_length_and_largest(self):
         for n in range(16):
             for p in partitions(n):

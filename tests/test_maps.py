@@ -90,6 +90,43 @@ class TestLabeledPartition:
         with pytest.raises(ValueError, match=f"labels must be bools, got {label!r}"):
             LabeledPartition([(3, True), (1, label)])
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([(3, False), (0, False)], "part values must be positive integers, got 0"),
+            ([(3, False), (True, False)], "part values must be positive integers, got True"),
+            ([(3, "no"), (1, False)], "labels must be bools, got 'no'"),
+            ([(3, 0), (1, False)], "labels must be bools, got 0"),
+            ([(3, True), (1, 1)], "labels must be bools, got 1"),
+            ([(2, False), (2, True), (2, True)], "value 2 is X-labeled twice"),
+            ([(5, True), (3, True), (4, False)], "X-labeled 3 cannot coexist with a part 4"),
+            ([(3, True), [1, False]], "entries must be (value, label) tuples, got [1, False]"),
+        ],
+    )
+    def test_each_single_fault_is_named(self, entries, message):
+        # the one fault is named whether the sort succeeds or meets an entry
+        # it cannot order; the same entries in either order give the same
+        # message
+        for given in (entries, entries[::-1]):
+            with pytest.raises(ValueError) as caught:
+                LabeledPartition(given)
+            assert str(caught.value) == message
+
+    def test_unsortable_entries_name_the_first_bad_entry_given(self):
+        # labels 'no' and None stop the sort; in the given order 2 comes
+        # before 2x, which must not read as a second X-labeled 2
+        entries = [(2, False), (2, True), (1, "no"), (1, None)]
+        with pytest.raises(ValueError, match="^labels must be bools, got 'no'$"):
+            LabeledPartition(entries)
+        with pytest.raises(ValueError, match="^labels must be bools, got None$"):
+            LabeledPartition(entries[::-1])
+
+    def test_entries_may_come_from_a_generator(self):
+        eta = LabeledPartition(entry for entry in [(1, True), (3, False)])
+        assert str(eta) == "3+1x"
+        with pytest.raises(ValueError, match="^labels must be bools, got 'no'$"):
+            LabeledPartition(entry for entry in [(3, "no"), (3, False)])
+
     def test_stored_counts_match_their_definitions(self):
         for m in range(11):
             for eta in enumerate_labeled(m):
@@ -249,7 +286,36 @@ class TestFixedPointCorrespondence:
             fixed_to_strict(parse_pair("0|6"))
 
 
+def labeled_by_masks(n):
+    # reference: per partition, the distinct values descending, the values
+    # whose successor is absent, and one multiplicity call per value for
+    # each subset of those values
+    found = []
+    for p in partitions(n):
+        values = sorted(set(p.parts), reverse=True)
+        present = set(values)
+        eligible = [v for v in values if v + 1 not in present]
+        for mask in range(1 << len(eligible)):
+            chosen = {v for idx, v in enumerate(eligible) if mask >> idx & 1}
+            entries = []
+            for v in values:
+                count = p.multiplicity(v)
+                if v in chosen:
+                    entries.append((v, True))
+                    entries.extend((v, False) for _ in range(count - 1))
+                else:
+                    entries.extend((v, False) for _ in range(count))
+            found.append(LabeledPartition(entries))
+    return found
+
+
 class TestEnumeration:
+    def test_labeled_matches_the_mask_construction_in_order(self):
+        for n in range(13):
+            assert [eta.entries for eta in enumerate_labeled(n)] == [
+                eta.entries for eta in labeled_by_masks(n)
+            ], n
+
     def test_labeled_counts_small(self):
         # by hand: 3, 3x, 2+1, 2x+1, 1+1+1, 1x+1+1 (1x next to a part 2 is invalid)
         got = {str(eta) for eta in enumerate_labeled(3)}
@@ -443,6 +509,27 @@ class TestOddGapDecomposition:
                     sigma, tau = lemma51_decompose(p)
                     biggest = tau.parts[0] if tau else 0
                     assert biggest == p.parts[0] - sigma.length
+
+    def test_one_pass_matches_the_row_by_row_definition(self):
+        # the definition: bottom-up, each odd gap takes one cell from every
+        # row above it, O(length^2) per partition
+        def row_by_row(p):
+            work = list(p.parts)
+            sigma = []
+            for i in range(len(work), 0, -1):
+                below = work[i] if i < len(work) else 0
+                if (work[i - 1] - below) % 2:
+                    for j in range(i):
+                        work[j] -= 1
+                    sigma.append(i)
+            return Partition(sigma), Partition(part for part in work if part)
+
+        checked = 0
+        for n in range(21):
+            for p in partitions(n):
+                assert lemma51_decompose(p) == row_by_row(p), p
+                checked += 1
+        assert checked == 2714  # partitions of n <= 20
 
     def test_compose_validates(self):
         with pytest.raises(ValueError):

@@ -624,6 +624,33 @@ class TestFiniteIdentities:
         # q^10 (1 - q^-4)(1 - q^-3)(1 - q)(1 - q^2) has seven terms
         assert check_qchu(4, 2) == {"terms": 7, "vanishes": 0}
 
+    def test_qchu_sides_equal_their_product_forms(self, monkeypatch):
+        # check_qchu builds each side as one running polynomial through the
+        # factor runs; here both are the products of whole Pochhammer
+        # polynomials and monomials, for every instance FINITE_LEMMAS checks
+        sides = []
+        real = qseries.compare_series
+
+        def capture(built, expected, where=""):
+            sides.append((built, expected))
+            return real(built, expected, where)
+
+        monkeypatch.setattr(qseries, "compare_series", capture)
+        poch, term = LaurentPoly.poch, LaurentPoly.term
+        for i in range(7):
+            for j in range(7):
+                lhs = LaurentPoly.zero()
+                for n in range(j + 1):
+                    lhs = lhs + (
+                        poch(-1, i + 1, 1, n)
+                        * poch(1, -j, 1, n)
+                        * term(1, q=n)
+                        * poch(1, 2 * n + 2, 2, j - n)
+                    )
+                rhs = term(-1 if j % 2 else 1, q=j * (i + 1)) * poch(1, -i, 1, j) * poch(1, 1, 1, j)
+                check_qchu(i, j)
+                assert sides.pop() == (lhs, rhs), (i, j)
+
     def test_qbinom_spec_example(self):
         assert check_qbinom(Monomial(1, q=1), 10)["terms"] > 0
 

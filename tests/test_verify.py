@@ -390,6 +390,20 @@ class TestCheckers:
                 "case 1 and case 2 counts differ at total size 3",
             ),
             (
+                # one labeled partition's sign flipped: the signed weights,
+                # tallied per size before any pair streams, catch it at its
+                # own size, ahead of the sign checks on its pairs
+                maps.LabeledPartition,
+                "sign",
+                lambda real: property(
+                    lambda eta: -real.fget(eta) if str(eta) == "3+1x" else real.fget(eta)
+                ),
+                "INVOLUTION",
+                {"nmax": 6},
+                "INVOLUTION n<=6 FAIL",
+                "weight sums differ at total size 4",
+            ),
+            (
                 # sol 3 too low from three parts on: 3+2+1's key (-2, 3) is
                 # a FAIL naming it, not MultiSeries' ValueError
                 verify_module,
@@ -713,6 +727,27 @@ class TestReports:
         with pytest.raises(Counterexample, match=r"^k=2 q\^3 x\^2 y\^1: built 5"):
             compare_series(built, expected, "k=2 ")
         assert compare_series(built, built) == 3
+
+    def test_compare_series_returns_equal_sides_without_sorting(self, monkeypatch):
+        # equal sides are one dict comparison, whatever order their terms
+        # were stored in; only a difference sorts the keys to name the first
+        from partition_lab import report as report_module
+
+        terms = {(1, 0, 1): 1, (3, 2, 1): 5, (4, 1, 1): 2}
+        built = MultiSeries(4, terms)
+        expected = MultiSeries(4, dict(reversed(terms.items())))
+        assert list(built.terms) != list(expected.terms)
+        laurent = LaurentPoly({(-2, 1): 3, (0, 0): 1})
+        shuffled = LaurentPoly({(0, 0): 1, (-2, 1): 3})
+
+        def no_sort(keys):
+            raise AssertionError("equal sides were sorted")
+
+        monkeypatch.setattr(report_module, "sorted", no_sort, raising=False)
+        assert compare_series(built, expected) == 3
+        assert compare_series(laurent, shuffled, "QCHU i=0 j=0 ") == 2
+        with pytest.raises(AssertionError, match="equal sides were sorted"):
+            compare_series(built, MultiSeries(4, {(1, 0, 1): 1}))
 
     def test_compare_series_rejects_different_orders(self):
         with pytest.raises(ValueError, match="series truncation orders differ"):
