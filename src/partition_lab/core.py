@@ -5,13 +5,14 @@ positive integers, with its length beside it in a slot.  Every statistic
 here is a pure function of that tuple.  The public constructor sorts and
 validates its parts; only the two partition walks store their own output
 unchecked, in place, because they build each part tuple sorted and
-positive, and they store its length from the part count m they keep.
-Both keep the parts in one preallocated array in which every entry past the
-last part greater than 1 is a 1, so they never write, count or delete
-trailing 1s, and both keep the reverse-lexicographic order.  Unrestricted
-partitions take the textbook ZS1 step of Zoghbi and Stojmenovic; strict and
-odd partitions take a refill loop that also cuts every strict refill whose
-remaining sum the smaller distinct parts cannot reach.
+positive, and they store its length beside it.  Both keep the
+reverse-lexicographic order.  Unrestricted partitions take the textbook ZS1
+step of Zoghbi and Stojmenovic on a list that holds exactly the current
+parts, so each yield copies the whole list; strict and odd partitions take a
+refill loop on a preallocated array whose entries past the last part greater
+than 1 are all 1s, so it never writes or deletes trailing 1s, and whose
+backtrack climbs past every part under which no strict refill can reach the
+remaining sum.
 """
 
 from __future__ import annotations
@@ -162,21 +163,20 @@ def k_measure(p: Partition, k: int) -> int:
 
     Greedy from the largest part; on a sorted list this greedy choice is
     optimal (cross-checked against exhaustive search in the test suite).
-    The scan stops once no positive part can follow the last one taken.
+    The scan stops at the first part taken that is at most ``k``: no
+    positive part can follow it.
     """
     if type(k) is not int or k < 1:  # bool is an int subclass
         raise ValueError("k must be a positive integer")
     parts = p.parts
-    if not parts:
-        return 0
     count = 0
-    bound = parts[0] + 1  # the next part taken must be below this
+    bound = parts[0] if parts else 0  # the next part taken is at most this
     for part in parts:
-        if part < bound:
+        if part <= bound:
             count += 1
-            bound = part - k + 1
-            if bound <= 1:
-                break  # no positive part is below it, so the rest of the scan adds nothing
+            if part <= k:
+                break
+            bound = part - k
     return count
 
 
@@ -201,28 +201,34 @@ def partitions(
     partitions and ``odd`` to partitions into odd parts, which are
     generated directly rather than filtered.  The stream is deterministic.
 
-    Two loops do the walk.  Each keeps a preallocated array ``x = [1] * n``
-    whose first m entries are the parts, with h the index of the last part
-    greater than 1 and ``x[i] == 1`` for every i > h, so trailing 1s are
-    never written, counted or deleted.  Both keep the reverse-lexicographic
-    order, which the ascending AccelAsc walk would not, and store each yielded
-    tuple unchecked, in place, because they build it sorted and positive,
-    with m as its length.
+    Two loops do the walk, with h the index of the last part greater than 1.
+    Both keep the reverse-lexicographic order, which the ascending AccelAsc
+    walk would not, and store each yielded tuple unchecked, in place,
+    because they build it sorted and positive.
 
     Unrestricted partitions take Zoghbi and Stojmenovic's ZS1 step, O(1)
-    amortized per partition: after a greedy first fill under the cap, a
-    last part x[h] == 2 becomes 1 + 1, and a larger x[h] drops to
-    r = x[h] - 1 with the freed sum refilled by copies of r and one smaller
-    remainder.  Only the first fill meets the cap.
+    amortized per partition, on a list ``x`` that holds exactly the parts,
+    so each yield is ``tuple(x)`` with ``len(x)`` as its length: after a
+    greedy first fill under the cap, a last part x[h] == 2 becomes 1 + 1
+    (x[h] = 1 and one more 1 appended), and a larger x[h] drops to
+    r = x[h] - 1, the 1s after it are deleted, and their sum and the 1 taken
+    off x[h] are appended as copies of r and one smaller remainder.  Only the
+    first fill meets the cap.
 
-    Strict and odd partitions take a refill loop: fill greedily from h + 1
-    with as many copies of the largest allowed part as fit (one when
-    ``distinct``), where a fill of 1s only moves m, and yield at ``n``; on
-    a dead end or after a yield, reset the part x[h] = p to 1 and refill
-    with parts up to p - 1 (p - 2 when ``odd``).  When ``distinct``, a
-    refill that cannot reach the remaining sum, because it exceeds
-    top + (top - 1) + ... + 1 (the odd terms only, ((top + 1) // 2) ** 2,
-    when ``odd``), is a dead end before any part is written.
+    Strict and odd partitions take a refill loop on a preallocated array
+    ``x = [1] * n`` whose first m entries are the parts and whose entries
+    past h are all 1s, so trailing 1s are never written or deleted: fill
+    greedily from h + 1 with as many copies of the largest allowed part as
+    fit (one when ``distinct``), where a fill of 1s only moves m, and yield
+    at ``n``; on a dead end or after a yield, reset the part x[h] = p to 1
+    and refill with parts up to p - 1 (p - 2 when ``odd``).  When
+    ``distinct``, a refill that cannot reach the remaining sum, because it
+    exceeds top + (top - 1) + ... + 1 (the odd terms only,
+    ((top + 1) // 2) ** 2, when ``odd``), is skipped by climbing on to the
+    part before.  Greedy placement keeps a reachable sum reachable, so the
+    fill itself never checks it.  Only two strict fills can still dead-end,
+    and the fill finds both: a first fill whose sum the cap cannot reach,
+    and, of distinct odd parts, a fill left with a sum of 2.
     """
     if type(n) is not int:  # bool is an int subclass
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -244,41 +250,38 @@ def _zs1(n: int, top: int) -> Iterator[Partition]:
     top = min(top, n)
     if not top and n:
         return  # a cap of 0 leaves no part to use
-    x = [1] * n  # the parts are x[:m], and x[i] == 1 for every i > h
     # the greedy first fill: copies of top, then the rest; nothing when n == 0
     m, rest = divmod(n, top) if top else (0, 0)
-    x[:m] = [top] * m
+    x = [top] * m  # exactly the parts
     h = m - 1 if top > 1 else -1  # index of the last part greater than 1
     if rest:
-        x[m] = rest
-        m += 1
+        x.append(rest)
         if rest > 1:
-            h = m - 1
+            h = m
     while True:
         p = new(Partition)
-        p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
-        p.length = m
+        p.parts = tuple(x)  # a fresh tuple each time: x keeps changing after the yield
+        p.length = len(x)
         yield p
         if h < 0:
             return  # only 1s are left
         if x[h] == 2:
-            x[h] = 1  # 2 becomes 1 + 1, and the new 1 is already in place
+            x[h] = 1  # 2 becomes 1 + 1
+            x.append(1)
             h -= 1
-            m += 1
         else:
             r = x[h] - 1
             x[h] = r
-            t = m - h  # the freed sum: the 1 taken off x[h] and the trailing 1s
+            t = len(x) - h  # the freed sum: the 1 taken off x[h] and the trailing 1s
+            del x[h + 1 :]
             while t >= r:
-                h += 1
-                x[h] = r
+                x.append(r)
                 t -= r
-            m = h + 1
+            h = len(x) - 1
             if t:
-                m += 1  # the remainder t < r, a 1 already in place or a part of its own
+                x.append(t)  # the remainder t < r, a 1 or a part of its own
                 if t > 1:
                     h += 1
-                    x[h] = t
 
 
 def _refill(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
@@ -300,9 +303,6 @@ def _refill(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
                     remaining = 0
                 break  # otherwise a dead end: no allowed part fits
             if distinct:
-                # distinct (odd) parts up to top sum to at most this: past it, a dead end
-                if remaining > (((top + 1) // 2) ** 2 if odd else top * (top + 1) // 2):
-                    break
                 x[m] = top
                 m += 1
                 remaining -= top
@@ -318,11 +318,17 @@ def _refill(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
             p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
             p.length = m
             yield p
-        if h < 0:
-            return  # only 1s are left, and a 1 has no smaller part to retry with
-        part = x[h]
-        x[h] = 1
-        remaining += part + m - h - 1
-        m = h
-        h -= 1
-        top = part - step
+        while True:
+            if h < 0:
+                return  # only 1s are left, and a 1 has no smaller part to retry with
+            part = x[h]
+            x[h] = 1
+            remaining += part + m - h - 1
+            m = h
+            h -= 1
+            top = part - step
+            # distinct (odd) parts up to top sum to at most this: past it, climb on
+            if not distinct or remaining <= (
+                ((top + 1) // 2) ** 2 if odd else top * (top + 1) // 2
+            ):
+                break

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 
-from .core import Partition, parity_index
+from .core import Partition
 
 
 class DurfeeType(Enum):
@@ -168,27 +168,37 @@ def alternating_index(p: Partition) -> int:
     Form eta as the union of the conjugated right subpartition and the below
     subpartition of the 2-modular triple, list its parts non-decreasing,
     append 2k for type I (row k exceeding 2k-1) or 2k-1 for type II, and
-    count parity switches.  Equal neighbours never switch parity, and the
-    conjugated right part has a part 2i exactly when row i exceeds row i + 1
-    (row k + 1 read as 2k - 1), so a set of parts suffices.
+    count parity switches.  That list holds 2i exactly when row i exceeds
+    row i + 1 (row k + 1 read as 2k - 1), the parts of the conjugated right
+    subpartition, and 2i - 1 exactly when a part below the square equals
+    it, since those parts are odd and at most 2k - 1.  So one pass over rows
+    k, ..., 1 reads the list from the tail down to 0, 2i before 2i - 1, and
+    counts the switches; equal neighbours never switch, so no list is built
+    or sorted.  A square row equal to 2k - 1 makes the tail 2k - 1 (type
+    II), so looking 2i - 1 up among all the parts reads the same list.
     """
     parts = p.parts
-    for part in parts:
-        if part % 2 == 0:
+    values = set(parts)
+    for value in values:
+        if value % 2 == 0:
+            part = next(part for part in parts if part % 2 == 0)
             raise ValueError(f"alternating index needs odd parts, got {part}")
     if not parts:
         return 0
     k = _fit(parts, cell=2)
-    tail = 2 * k if parts[k - 1] > 2 * k - 1 else 2 * k - 1
-    values = set(parts[k:])
     below = 2 * k - 1  # row k + 1, read as 2k - 1
-    for i in range(k, 0, -1):
-        part = parts[i - 1]
-        if part > below:
-            values.add(2 * i)
-        below = part
-    values.add(tail)
-    ordered = sorted(values)
-    if ordered[-1] > tail:
+    odd = parts[k - 1] <= below  # the tail, read first, is odd: 2k - 1 for type II
+    tail = below if odd else 2 * k
+    if p.length > k and parts[k] > tail:  # the largest part below the square
         raise RuntimeError(f"alternating-index sequence of {p} exceeds its tail {tail}")
-    return parity_index(ordered)
+    switches = 0
+    for i in range(k - 1, -1, -1):  # row i + 1: the values 2i + 2, then 2i + 1
+        part = parts[i]
+        if odd and part > below:
+            switches += 1
+            odd = False
+        if not odd and 2 * i + 1 in values:
+            switches += 1
+            odd = True
+        below = part
+    return switches + odd  # the list starts at 0, which is even

@@ -1,7 +1,10 @@
 """Core partition type and statistics."""
 
 import functools
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +19,8 @@ from partition_lab.core import (
     sol,
     union,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # counts of partitions / strict partitions of n, n = 0..12 (classical values)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -195,7 +200,7 @@ class TestKMeasure:
                 assert k_measure(p, 1) == len(set(p.parts))
 
     def test_greedy_matches_dp_oracle(self):
-        for n in range(19):
+        for n in range(25):
             for p in partitions(n):
                 for k in (1, 2, 3, 4, 5):
                     assert k_measure(p, k) == longest_gapped_dp(p.parts, k), (p, k)
@@ -299,6 +304,27 @@ class TestGenerator:
             for max_part in (None, 0, 2, n // 2, n + 3):
                 walked = [p.parts for p in partitions(n, max_part=max_part)]
                 assert walked == list(_reference_partitions(n, max_part)), (n, max_part)
+
+    def test_streams_match_pinned_digests(self):
+        # every stream the deep enumeration reads, out to its n <= 42, pinned
+        # as (count, SHA-256 of the part bytes, partitions split by a 0 byte);
+        # tests/data/walk_digests.json was recorded from the walks before ZS1
+        # kept an exact-length part list and the strict refill climbed past
+        # every dead end in one step, so neither change altered a stream
+        pinned = json.loads((DATA / "walk_digests.json").read_text())
+        families = {
+            "all": {},
+            "strict": {"distinct": True},
+            "odd": {"odd": True},
+            "strict_odd": {"distinct": True, "odd": True},
+        }
+        for n in range(43):
+            streams = {name: partitions(n, **family) for name, family in families.items()}
+            streams["all_half_cap"] = partitions(n, max_part=n // 2)
+            for name, stream in streams.items():
+                chunks = [bytes(p.parts) for p in stream]
+                digest = hashlib.sha256(b"\0".join(chunks)).hexdigest()
+                assert [len(chunks), digest] == pinned[name][n], (name, n)
 
     def test_walk_yields_canonical_unaliased_partitions(self):
         # the walk stores each part array unchecked, so it must already be the

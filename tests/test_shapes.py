@@ -271,14 +271,18 @@ class TestAlternatingIndex:
                 assert (alternating_index(p) % 2 == 0) == expected_even, p
 
     def test_matches_triple_definition(self):
-        # n <= 36 reaches type I at side 4 (9+9+9+9)
-        for n in range(37):
+        # n <= 36 reaches type I at side 4 (9+9+9+9), and n = 45 and 46 reach
+        # side 5 (9+9+9+9+9, type II, then with a 1 below it)
+        for n in [*range(37), 45, 46]:
             for p in partitions(n, odd=True):
                 assert alternating_index(p) == triple_alternating_index(p), p
 
     def test_rejects_even_parts(self):
         with pytest.raises(ValueError, match="alternating index needs odd parts, got 4"):
             alternating_index(parse("4+1"))
+        # the first even part is named, whatever order a set of values holds
+        with pytest.raises(ValueError, match="alternating index needs odd parts, got 6"):
+            alternating_index(parse("6+4+1"))
 
     def test_a_short_fit_trips_the_tail_check(self, monkeypatch):
         # a fit that stops early leaves parts below the square wider than the
