@@ -3,20 +3,20 @@
 A partition is stored once, canonically, as a non-increasing tuple of
 positive integers, with its length beside it in a slot.  Every statistic
 here is a pure function of that tuple.  The public constructor sorts and
-validates its parts; only the two partition walks store their own output
-unchecked, in place, because they build each part tuple sorted and
-positive, and they store its length beside it.  Both keep the
-reverse-lexicographic order.  Unrestricted partitions take the textbook ZS1
-step of Zoghbi and Stojmenovic on a list that holds exactly the current
-parts, so each yield copies the whole list; strict and odd partitions take a
-refill loop on a preallocated array whose entries past the last part greater
-than 1 are all 1s, so it never writes or deletes trailing 1s, and whose
-backtrack climbs past every part under which no strict refill can reach the
-remaining sum.
+validates its parts; only the partition walk stores its own output
+unchecked, in place, because it builds each part tuple sorted and
+positive, and it stores its length beside it.  One table-driven walk, in
+reverse-lexicographic order, serves all, strict and odd partitions: it
+places the largest allowed leading parts while the remainder exceeds a
+small constant, then appends each tail from the family's table of the
+partitions of that remainder, from a stored start index that skips the
+tails above the cap.  A strict leading part is skipped, with every smaller
+one, when the distinct parts up to it cannot reach the remainder.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Sequence
 
 
@@ -47,9 +47,9 @@ class Partition:
         return sum(self.parts)
 
     def multiplicity(self, j: int) -> int:
-        """Number of parts equal to ``j``."""
-        if j < 1:
-            raise ValueError("part values are positive")
+        """Number of parts equal to ``j``, a positive int."""
+        if type(j) is not int or j < 1:  # bool is an int subclass
+            raise ValueError(f"j must be a positive integer, got {j!r}")
         return self.parts.count(j)
 
     def is_strict(self) -> bool:
@@ -201,34 +201,23 @@ def partitions(
     partitions and ``odd`` to partitions into odd parts, which are
     generated directly rather than filtered.  The stream is deterministic.
 
-    Two loops do the walk, with h the index of the last part greater than 1.
-    Both keep the reverse-lexicographic order, which the ascending AccelAsc
-    walk would not, and store each yielded tuple unchecked, in place,
-    because they build it sorted and positive.
-
-    Unrestricted partitions take Zoghbi and Stojmenovic's ZS1 step, O(1)
-    amortized per partition, on a list ``x`` that holds exactly the parts,
-    so each yield is ``tuple(x)`` with ``len(x)`` as its length: after a
-    greedy first fill under the cap, a last part x[h] == 2 becomes 1 + 1
-    (x[h] = 1 and one more 1 appended), and a larger x[h] drops to
-    r = x[h] - 1, the 1s after it are deleted, and their sum and the 1 taken
-    off x[h] are appended as copies of r and one smaller remainder.  Only the
-    first fill meets the cap.
-
-    Strict and odd partitions take a refill loop on a preallocated array
-    ``x = [1] * n`` whose first m entries are the parts and whose entries
-    past h are all 1s, so trailing 1s are never written or deleted: fill
-    greedily from h + 1 with as many copies of the largest allowed part as
-    fit (one when ``distinct``), where a fill of 1s only moves m, and yield
-    at ``n``; on a dead end or after a yield, reset the part x[h] = p to 1
-    and refill with parts up to p - 1 (p - 2 when ``odd``).  When
-    ``distinct``, a refill that cannot reach the remaining sum, because it
-    exceeds top + (top - 1) + ... + 1 (the odd terms only,
-    ((top + 1) // 2) ** 2, when ``odd``), is skipped by climbing on to the
-    part before.  Greedy placement keeps a reachable sum reachable, so the
-    fill itself never checks it.  Only two strict fills can still dead-end,
-    and the fill finds both: a first fill whose sum the cap cannot reach,
-    and, of distinct odd parts, a fill left with a sum of 2.
+    One walk serves every family.  It keeps the reverse-lexicographic order,
+    which the ascending AccelAsc walk would not, and stores each yielded
+    tuple unchecked, in place, because it builds it sorted and positive.
+    While the remainder exceeds ``_TAIL`` it appends the largest allowed
+    part to a list of leading parts: at most the part before it, less 1
+    when ``distinct`` (less 2 when also ``odd``), and odd when ``odd``.
+    Under those it yields ``tuple(leading) + tail`` for each tail in the
+    family's table row for the remainder, from a stored start index past
+    every tail whose largest part the cap forbids; a remainder above the
+    table under a cap of 1 has the one tail of all 1s.  It then replaces
+    the last leading part with the next smaller allowed part.  When
+    ``distinct``, a part p is a dead end, skipped with every smaller one,
+    when the remainder exceeds p + (p - 1) + ... + 1 (the odd terms only,
+    ((p + 1) // 2) ** 2, when ``odd``), the most distinct parts up to p can
+    sum to.  The table holds the partitions of each r <= ``_TAIL`` for
+    the family (1,286 tuples, about 0.12 MiB, over the four families);
+    each family's is built on its first walk, not at import.
     """
     if type(n) is not int:  # bool is an int subclass
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -240,95 +229,67 @@ def partitions(
         if max_part < 0:
             raise ValueError("max_part must be nonnegative")
     top = n if max_part is None else max_part
-    if distinct or odd:
-        return _refill(n, top, distinct, odd)
-    return _zs1(n, top)
+    return _walk(n, top, distinct, odd)
 
 
-def _zs1(n: int, top: int) -> Iterator[Partition]:
+_TAIL = 16  # the table holds every family's partitions of r <= _TAIL
+
+
+@functools.cache
+def _tails(distinct: bool, odd: bool) -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
+    """The family's partitions of each r <= _TAIL, reverse-lexicographic, and
+    per row r and cap c <= r the index of its first tail with largest part <= c.
+
+    Row r lists, for each allowed largest part a, largest first, ``(a,)``
+    before each tail of row r - a under a's own cap, so each row is built
+    from smaller ones.
+    """
+    rows: list[list[tuple[int, ...]]] = [[()]]
+    starts: list[list[int]] = [[0]]
+    for r in range(1, _TAIL + 1):
+        row = []
+        for a in range(r - (odd and not r % 2), 0, -2 if odd else -1):
+            rest = r - a
+            below = rows[rest][starts[rest][min(a - 1 if distinct else a, rest)] :]
+            row += [(a,) + tail for tail in below]
+        rows.append(row)
+        starts.append([sum(1 for tail in row if tail[0] > c) for c in range(r + 1)])
+    return rows, starts
+
+
+def _walk(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
     new = object.__new__
-    top = min(top, n)
-    if not top and n:
-        return  # a cap of 0 leaves no part to use
-    # the greedy first fill: copies of top, then the rest; nothing when n == 0
-    m, rest = divmod(n, top) if top else (0, 0)
-    x = [top] * m  # exactly the parts
-    h = m - 1 if top > 1 else -1  # index of the last part greater than 1
-    if rest:
-        x.append(rest)
-        if rest > 1:
-            h = m
+    rows, starts = _tails(distinct, odd)
+    head: list[int] = []  # the leading parts, each placed above a remainder > _TAIL
+    rest = n
+    cap = top  # the largest part the remainder may take, before odd rounds it down
     while True:
-        p = new(Partition)
-        p.parts = tuple(x)  # a fresh tuple each time: x keeps changing after the yield
-        p.length = len(x)
-        yield p
-        if h < 0:
-            return  # only 1s are left
-        if x[h] == 2:
-            x[h] = 1  # 2 becomes 1 + 1
-            x.append(1)
-            h -= 1
-        else:
-            r = x[h] - 1
-            x[h] = r
-            t = len(x) - h  # the freed sum: the 1 taken off x[h] and the trailing 1s
-            del x[h + 1 :]
-            while t >= r:
-                x.append(r)
-                t -= r
-            h = len(x) - 1
-            if t:
-                x.append(t)  # the remainder t < r, a 1 or a part of its own
-                if t > 1:
-                    h += 1
-
-
-def _refill(n: int, top: int, distinct: bool, odd: bool) -> Iterator[Partition]:
-    new = object.__new__
-    step = 2 if odd else 1
-    x = [1] * n  # the parts are x[:m], and x[i] == 1 for every i > h
-    h = -1  # index of the last part greater than 1
-    m = 0
-    remaining = n
-    while True:
-        while remaining:
-            if top > remaining:
-                top = remaining
-            if odd and not top % 2:
-                top -= 1
-            if top < 2:
-                if top == 1 and (remaining == 1 or not distinct):
-                    m += remaining  # the implicit 1s are already in place
-                    remaining = 0
-                break  # otherwise a dead end: no allowed part fits
-            if distinct:
-                x[m] = top
-                m += 1
-                remaining -= top
-                top -= 1
-            else:
-                copies = remaining // top
-                x[m : m + copies] = [top] * copies
-                m += copies
-                remaining -= top * copies
-            h = m - 1
-        if not remaining:
-            p = new(Partition)
-            p.parts = tuple(x[:m])  # a fresh tuple each time: x keeps changing after the yield
-            p.length = m
-            yield p
-        while True:
-            if h < 0:
-                return  # only 1s are left, and a 1 has no smaller part to retry with
-            part = x[h]
-            x[h] = 1
-            remaining += part + m - h - 1
-            m = h
-            h -= 1
-            top = part - step
-            # distinct (odd) parts up to top sum to at most this: past it, climb on
-            if not distinct or remaining <= (
-                ((top + 1) // 2) ** 2 if odd else top * (top + 1) // 2
-            ):
+        while rest > _TAIL:
+            part = cap if cap < rest else rest
+            if odd and not part % 2:
+                part -= 1
+            if part < 2:
+                # under a cap of 1 the one tail is all 1s; under 0 there is none
+                tails = [(1,) * rest] if part == 1 and not distinct else []
                 break
+            # distinct (odd) parts up to part sum to at most this: past it, a dead end
+            if distinct and rest > (((part + 1) // 2) ** 2 if odd else part * (part + 1) // 2):
+                tails = []
+                break
+            head.append(part)
+            rest -= part
+            cap = part - 1 if distinct else part
+        else:
+            tails = rows[rest][starts[rest][cap if cap < rest else rest] :]
+        prefix = tuple(head)
+        for tail in tails:
+            parts = prefix + tail  # a fresh tuple, or a table row's own when head is empty
+            p = new(Partition)
+            p.parts = parts
+            p.length = len(parts)
+            yield p
+        if not head:
+            return
+        part = head.pop()  # retry below it: the next smaller allowed part
+        rest += part
+        cap = part - 1

@@ -4,11 +4,15 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from partition_lab import core
 from partition_lab.core import (
     Partition,
     k_measure,
@@ -67,8 +71,8 @@ class TestPartitionType:
         assert parse("14+13+11+9+6+5+4+2+1").length == 9
 
     def test_stored_length_is_the_part_count(self):
-        # length is a slot set beside the parts by the constructor and by both
-        # walks, so every way of making a partition must keep the two in step
+        # length is a slot set beside the parts by the constructor and by the
+        # walk, so every way of making a partition must keep the two in step
         for n in range(31):
             for cap in (None, 1, 2, n // 2, n + 3):
                 for family in ({}, {"distinct": True}, {"odd": True}):
@@ -91,6 +95,12 @@ class TestPartitionType:
         assert parse("7+6+6+5+1+1").multiplicity(6) == 2
         assert parse("9+7+7+5+1+1").multiplicity(1) == 2
         assert Partition().multiplicity(3) == 0
+
+    @pytest.mark.parametrize("bad", [0, -1, True, False, 1.0, 1.5, "1", None])
+    def test_multiplicity_rejects_a_non_positive_int(self, bad):
+        # a bool or a float compares like an int, so only its type rules it out
+        with pytest.raises(ValueError, match="j must be a positive integer"):
+            Partition((3, 1)).multiplicity(bad)
 
     def test_strict_and_odd_predicates(self):
         assert parse("7+6+5+2+1").is_strict()
@@ -292,25 +302,50 @@ def _reference_partitions(n, max_part=None, distinct=False, odd=False):
 
 class TestGenerator:
     def test_order_matches_recursive_reference(self):
-        for n in range(23):
+        # caps 15, 16 and 17 sit at the table's edge, _TAIL = 16
+        for n in range(31):
             for distinct, odd in itertools.product((False, True), repeat=2):
-                for max_part in (None, 0, 1, 2, 3, 4, 6, n, n + 3):
+                for max_part in (None, 0, 1, 2, 3, 4, 6, 15, 16, 17, n, n + 3):
                     family = {"max_part": max_part, "distinct": distinct, "odd": odd}
                     walked = [p.parts for p in partitions(n, **family)]
                     assert walked == list(_reference_partitions(n, **family)), (n, family)
-        # the unrestricted family has its own loop, whose first fill alone
-        # meets the cap, so its order is checked further out
-        for n in range(23, 31):
-            for max_part in (None, 0, 2, n // 2, n + 3):
-                walked = [p.parts for p in partitions(n, max_part=max_part)]
-                assert walked == list(_reference_partitions(n, max_part)), (n, max_part)
+
+    def test_tail_table_matches_the_reference(self):
+        # each row is the family's partitions of r in the walk's order, and
+        # each start index is the first tail whose largest part is at most c
+        for distinct, odd in itertools.product((False, True), repeat=2):
+            rows, starts = core._tails(distinct, odd)
+            assert len(rows) == len(starts) == core._TAIL + 1
+            for r, (row, start) in enumerate(zip(rows, starts)):
+                assert row == list(_reference_partitions(r, distinct=distinct, odd=odd)), r
+                assert len(start) == r + 1, r
+                for c, index in enumerate(start):
+                    # the fitting tails are exactly the suffix from the index
+                    fits = [i for i, tail in enumerate(row) if not tail or tail[0] <= c]
+                    assert fits == list(range(index, len(row))), (r, c)
+        # the table is built on a family's first walk, never by the import
+        probe = (
+            "import partition_lab\n"
+            "from partition_lab import core\n"
+            "print(core._tails.cache_info().currsize)\n"
+        )
+        src = str(Path(core.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
 
     def test_streams_match_pinned_digests(self):
         # every stream the deep enumeration reads, out to its n <= 42, pinned
         # as (count, SHA-256 of the part bytes, partitions split by a 0 byte);
-        # tests/data/walk_digests.json was recorded from the walks before ZS1
-        # kept an exact-length part list and the strict refill climbed past
-        # every dead end in one step, so neither change altered a stream
+        # tests/data/walk_digests.json was recorded from the earlier walks
+        # (ZS1 for all partitions, a refill loop for strict and odd ones),
+        # so replacing both with the one table-driven walk altered no stream
         pinned = json.loads((DATA / "walk_digests.json").read_text())
         families = {
             "all": {},
@@ -327,8 +362,8 @@ class TestGenerator:
                 assert [len(chunks), digest] == pinned[name][n], (name, n)
 
     def test_walk_yields_canonical_unaliased_partitions(self):
-        # the walk stores each part array unchecked, so it must already be the
-        # tuple the public constructor builds, and a fresh one per yield
+        # the walk stores each part tuple unchecked, so it must already be the
+        # tuple the public constructor builds, and a different one per yield
         for n in range(26):
             for distinct, odd in itertools.product((False, True), repeat=2):
                 for max_part in (None, 1, 2, n):
@@ -367,8 +402,8 @@ class TestGenerator:
                     total += count(n - part, part - 1 if distinct else part, distinct, odd)
             return total
 
-        for n in (26, 33, 40):
-            for distinct, odd in ((False, False), (True, False), (False, True)):
+        for n in (26, 33, 40, 50):
+            for distinct, odd in itertools.product((False, True), repeat=2):
                 for max_part in (None, 1, 2, n // 2):
                     cap = n if max_part is None else max_part
                     walked = [p.parts for p in partitions(n, max_part=max_part, distinct=distinct, odd=odd)]
@@ -380,9 +415,10 @@ class TestGenerator:
                         assert not odd or all(part % 2 for part in parts), parts
 
     def test_strict_refill_bounds_are_tight(self):
-        # a strict refill below top is cut when remaining exceeds the sum of
-        # every allowed part up to top: t(t+1)/2, or t^2 for odd parts up to
-        # 2t - 1; at the bound exactly one partition survives, one past it none
+        # a strict leading part t is a dead end when the remainder exceeds the
+        # sum of every allowed part up to t: t(t+1)/2, or t^2 for odd parts up
+        # to 2t - 1; at the bound exactly one partition survives, one past it
+        # none (t up to 11 takes both sides of the table's edge, _TAIL = 16)
         for t in range(1, 12):
             staircase = tuple(range(t, 0, -1))
             n = t * (t + 1) // 2

@@ -813,8 +813,8 @@ class TestReports:
 
 class TestTrustedConstruction:
     def test_only_producers_of_the_invariant_skip_checks(self):
-        # object.__new__ skips a constructor's checks, so only the two walks,
-        # which build each Partition in place, and MultiSeries._trusted, which
+        # object.__new__ skips a constructor's checks, so only the one walk,
+        # which builds each Partition in place, and MultiSeries._trusted, which
         # the two binomial steps call with a valid result, may reach it; every
         # reference counts, the name as a string too, so an alias cannot widen
         # the path either
@@ -823,13 +823,12 @@ class TestTrustedConstruction:
             or (isinstance(node, ast.Constant) and node.value in ("__new__", "_trusted"))
         )
         assert sorted((path, owner, ast.unparse(node)) for path, owner, node in uses) == [
-            ("core.py", "_refill", "object.__new__"),
-            ("core.py", "_zs1", "object.__new__"),
+            ("core.py", "_walk", "object.__new__"),
             ("qseries.py", "_over_binomial", "MultiSeries._trusted"),
             ("qseries.py", "_times_binomial", "MultiSeries._trusted"),
             ("qseries.py", "_trusted", "object.__new__"),
         ]
-        # and only the checking constructor and those two walks store parts,
+        # and only the checking constructor and that walk store parts,
         # or the length kept beside them
         stores = _package_uses(
             lambda node: (
@@ -843,10 +842,8 @@ class TestTrustedConstruction:
         assert sorted((path, owner, ast.unparse(node)) for path, owner, node in stores) == [
             ("core.py", "__init__", "self.length"),
             ("core.py", "__init__", "self.parts"),
-            ("core.py", "_refill", "p.length"),
-            ("core.py", "_refill", "p.parts"),
-            ("core.py", "_zs1", "p.length"),
-            ("core.py", "_zs1", "p.parts"),
+            ("core.py", "_walk", "p.length"),
+            ("core.py", "_walk", "p.parts"),
         ]
 
 
