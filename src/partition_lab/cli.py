@@ -98,11 +98,11 @@ def _cmd_verify(args) -> int:
     bounds = {"nmax": args.nmax, "order": args.order, "k": args.k, "mmax": args.m}
     given = [key for key, value in bounds.items() if value is not None]
     if args.checker != "all":
-        reports = [verify.verify(args.checker, **bounds)]  # unset (None) bounds are skipped
+        reports = [verify.verify(args.checker, args.profile, **bounds)]  # None bounds are skipped
     elif given:
         raise ValueError(f"verify all runs at profile bounds; it does not accept {given}")
     else:
-        reports = verify.verify_all(profile=args.profile)
+        reports = verify.verify_all(args.profile)
     _emit(args, [r.to_dict() for r in reports], "\n".join(r.text() for r in reports))
     return 0 if all(reports) else 1
 
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--order", type=int, default=None)
     ver.add_argument("--k", type=int, default=None)
     ver.add_argument("--m", type=int, default=None, help="mmax for LEMMA51")
-    ver.add_argument("--profile", choices=("desk",), default="desk")
+    ver.add_argument("--profile", choices=verify.PROFILES, default="desk")
     ver.set_defaults(func=_cmd_verify)
 
     table = commands.add_parser("table", help="emit the two-column involution table")

@@ -307,6 +307,8 @@ def _pairs(n: int, strict: list[list[Partition]], labeled: list[list[LabeledPart
 
 def enumerate_pairs(n: int) -> list[SignedPair]:
     """All signed pairs of total size ``n``."""
+    if type(n) is not int or n < 0:  # bool is an int subclass
+        raise ValueError(f"total size must be a nonnegative integer, got {n!r}")
     strict = [list(partitions(m, distinct=True)) for m in range(n + 1)]
     return list(_pairs(n, strict, [enumerate_labeled(m) for m in range(n + 1)]))
 
@@ -319,8 +321,6 @@ def _pair_sort_key(pair: SignedPair):
 
 def involution_table(n: int) -> str:
     """Two-column table pairing every negative pair with its image."""
-    if n < 0:
-        raise ValueError(f"total size must be nonnegative, got {n}")
     lines = ["- | +"]
     negatives = sorted(
         (p for p in enumerate_pairs(n) if p.sign < 0), key=_pair_sort_key

@@ -486,33 +486,35 @@ def example_sets(preset: str) -> dict[str, list[Partition]]:
 
 # -- registry ---------------------------------------------------------------------
 
-# name -> (function, {bound: (least, desk)}).  Below its least value a bound
-# would check nothing, or, for k, ask for a k-measure that does not exist;
-# LEMMA51's order >= mmax, which relates two bounds, is its checker's own.
-# The desk values finish comfortably on a laptop; a desk value of None leaves
-# the bound to the checker's default.
+# name -> (function, {bound: (least, desk, deep)}), a value per PROFILES
+# entry.  Below its least value a bound would check nothing, or, for k, ask
+# for a k-measure that does not exist; LEMMA51's order >= mmax, which
+# relates two bounds, is its checker's own.  Desk values finish comfortably
+# on a laptop, deep ones in seconds; deep nmax 45 = 9+9+9+9+9 is the first
+# size with 2-modular Durfee side 5.  None leaves a bound to the checker.
+PROFILES = ("desk", "deep")
 CHECKERS = {
-    "PROP_2MEASURE": (check_prop_2measure, {"nmax": (0, 40)}),
-    "THM11": (check_thm11, {"order": (0, 30)}),
-    "EQ11": (check_eq11, {"order": (0, 25)}),
-    "EQ31": (check_eq31, {"order": (0, 22), "k": (1, None)}),
-    "EQ_2MEASURE_P": (check_eq_2measure_p, {"order": (0, 20)}),
-    "THM12": (check_thm12, {"nmax": (0, 26)}),
-    "THM13": (check_thm13, {"nmax": (0, 26)}),
-    "COROLLARY": (check_corollary, {"nmax": (0, 26)}),
-    "GF4": (check_gf4, {"order": (0, 25)}),
-    "GF5": (check_gf5, {"order": (0, 25)}),
-    "SYLVESTER": (check_sylvester, {"nmax": (0, 26)}),
-    "INVOLUTION": (check_involution, {"nmax": (0, 12)}),
-    "LEMMA51": (check_lemma51, {"mmax": (1, 10), "order": (1, 30)}),
+    "PROP_2MEASURE": (check_prop_2measure, {"nmax": (0, 40, 60)}),
+    "THM11": (check_thm11, {"order": (0, 30, 60)}),
+    "EQ11": (check_eq11, {"order": (0, 25, 60)}),
+    "EQ31": (check_eq31, {"order": (0, 22, 40), "k": (1, None, None)}),
+    "EQ_2MEASURE_P": (check_eq_2measure_p, {"order": (0, 20, 50)}),
+    "THM12": (check_thm12, {"nmax": (0, 26, 45)}),
+    "THM13": (check_thm13, {"nmax": (0, 26, 45)}),
+    "COROLLARY": (check_corollary, {"nmax": (0, 26, 45)}),
+    "GF4": (check_gf4, {"order": (0, 25, 40)}),
+    "GF5": (check_gf5, {"order": (0, 25, 40)}),
+    "SYLVESTER": (check_sylvester, {"nmax": (0, 26, 45)}),
+    "INVOLUTION": (check_involution, {"nmax": (0, 12, 18)}),
+    "LEMMA51": (check_lemma51, {"mmax": (1, 10, 14), "order": (1, 30, 50)}),
     "GLAISHER_COUNTEREX": (check_glaisher_counterexample, {}),
-    "FINITE_LEMMAS": (check_finite_lemmas, {"order": (0, 15)}),
+    "FINITE_LEMMAS": (check_finite_lemmas, {"order": (0, 15, 45)}),
 }
 
 
-def verify(name: str, **bounds) -> VerificationReport:
-    """Run one named checker, using the desk value of its row for any bound
-    left unset or ``None``.
+def verify(name: str, profile: str = "desk", **bounds) -> VerificationReport:
+    """Run one named checker, using its row's ``profile`` value for any
+    bound left unset or ``None``.
 
     The checker's ``CHECKERS`` row names the bounds it accepts, and this is
     the one place each bound is checked against its least value.  The
@@ -524,7 +526,10 @@ def verify(name: str, **bounds) -> VerificationReport:
         func, limits = CHECKERS[name]
     except KeyError:
         raise ValueError(f"unknown checker {name!r}; choose from {tuple(CHECKERS)}") from None
-    kwargs = {key: desk for key, (_least, desk) in limits.items() if desk is not None}
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
+    column = PROFILES.index(profile) + 1
+    kwargs = {key: row[column] for key, row in limits.items() if row[column] is not None}
     for key, value in bounds.items():
         if value is None:
             continue
@@ -547,6 +552,4 @@ def verify(name: str, **bounds) -> VerificationReport:
 
 def verify_all(profile: str = "desk"):
     """Run every checker at profile bounds; reports come back in fixed order."""
-    if profile != "desk":
-        raise ValueError(f"unknown profile {profile!r}")
-    return [verify(name) for name in CHECKERS]
+    return [verify(name, profile) for name in CHECKERS]

@@ -200,6 +200,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "THM11", "--order", "0")
         assert code == 0 and out == "THM11 order<=0 PASS\n"
 
+    def test_profile_reaches_a_single_checker_and_a_bound_overrides_it(self, capsys):
+        code, out, _ = run(capsys, "verify", "THM12", "--profile", "deep", "--nmax", "3")
+        assert code == 0 and out == "THM12 n<=3 PASS\n"
+        # the bound left unset comes from the profile's column
+        code, out, _ = run(capsys, "verify", "LEMMA51", "--profile", "deep", "--order", "20")
+        assert code == 0 and out == "LEMMA51 m<=14 order<=20 PASS\n"
+
     def test_fail_exit_one_with_witness(self, capsys, monkeypatch):
         from partition_lab import verify as verify_module
 
@@ -244,6 +251,7 @@ class TestVerify:
             ("verify", "LEMMA51", "--order", "0"),
             ("verify", "LEMMA51", "--order", "9", "--m", "10"),
             ("verify", "all", "--order", "3"),
+            ("verify", "all", "--profile", "deep", "--nmax", "3"),
             ("verify", "EQ31", "--k", "0"),
         ],
     )

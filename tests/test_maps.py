@@ -325,6 +325,14 @@ class TestEnumeration:
         pairs = enumerate_pairs(6)
         assert len(pairs) == 2 * 43 + 4
 
+    @pytest.mark.parametrize("n", [True, False, -1, 2.0, "3"])
+    def test_pairs_reject_a_size_that_is_no_nonnegative_int(self, n):
+        # a bool would enumerate size 0 or 1, and -1 would give no pairs
+        with pytest.raises(ValueError, match="^total size must be a nonnegative integer, got "):
+            enumerate_pairs(n)
+        with pytest.raises(ValueError, match="^total size must be a nonnegative integer, got "):
+            involution_table(n)
+
     def test_checker_classifies_and_enumerates_once(self, monkeypatch):
         # one enumerate_labeled call and one strict walk per total size, and
         # one classification per pair and per image, plus the one

@@ -165,7 +165,7 @@ class TestCheckers:
 
     @pytest.mark.parametrize("name", list(CHECKERS))
     def test_each_checker_counts_something_at_least_bounds(self, name):
-        least = {key: low for key, (low, _desk) in CHECKERS[name][1].items()}
+        least = {key: low for key, (low, _desk, _deep) in CHECKERS[name][1].items()}
         report = verify(name, **least)
         assert report.passed, report.witness
         assert report.params == least
@@ -194,6 +194,28 @@ class TestCheckers:
         assert verify("EQ31").params == {"order": 22}
         assert verify("EQ31", order=5, k=2).params == {"order": 5, "k": 2}
         assert verify("LEMMA51", mmax=2).params == {"mmax": 2, "order": 30}
+        assert verify("THM12", profile="deep").params == {"nmax": 45}
+        # an explicit bound wins over the profile's, the other bound is the profile's
+        assert verify("THM12", "deep", nmax=3).params == {"nmax": 3}
+        assert verify("LEMMA51", "deep", order=14).params == {"mmax": 14, "order": 14}
+        with pytest.raises(ValueError, match="^unknown profile 'nonsense'"):
+            verify("THM12", profile="nonsense")
+        with pytest.raises(ValueError, match="^unknown profile 'nonsense'"):
+            verify_all("nonsense")
+
+    def test_bound_rows_rise_from_least_to_desk_to_deep(self):
+        for name, (_func, limits) in CHECKERS.items():
+            for key, (least, desk, deep) in limits.items():
+                if (name, key) == ("EQ31", "k"):  # both leave k to the checker
+                    assert desk is deep is None
+                else:
+                    assert least <= desk <= deep, (name, key)
+        # 45 = 9+9+9+9+9 is the first size with 2-modular Durfee side 5,
+        # k(2k - 1) at k = 5, so deep reaches it on the odd-partition side
+        assert dur2(parse("9+9+9+9+9")) == 5
+        assert all(dur2(p) < 5 for n in range(45) for p in partitions(n, odd=True))
+        for name in ("THM12", "THM13", "COROLLARY", "SYLVESTER"):
+            assert CHECKERS[name][1]["nmax"][2] >= 5 * (2 * 5 - 1), name
 
     def test_trivial_order_zero(self):
         assert verify("THM11", order=0).passed
@@ -525,7 +547,10 @@ class TestCheckers:
         }
         for name, bounds in small.items():
             func, limits = CHECKERS[name]
-            rows = {key: (least, bounds.get(key, desk)) for key, (least, desk) in limits.items()}
+            rows = {
+                key: (least, bounds.get(key, desk), deep)
+                for key, (least, desk, deep) in limits.items()
+            }
             monkeypatch.setitem(CHECKERS, name, (func, rows))
         reports = verify_all()
         assert [r.name.split()[0] for r in reports] == list(CHECKERS)
