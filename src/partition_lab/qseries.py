@@ -469,7 +469,10 @@ class LaurentPoly:
         kept: dict[tuple[int, int], int] = {}
         if terms:
             for key, coeff in terms.items():
-                _q, x = key
+                q, x = key
+                if type(q) is not int or type(x) is not int or type(coeff) is not int:
+                    # bool is an int subclass, and a float breaks exactness
+                    raise ValueError(f"non-integer term {key}: {coeff!r}")
                 if x < 0:
                     raise ValueError("x-exponents are nonnegative")
                 if coeff:

@@ -3,9 +3,9 @@
 Every check is exact: a checker walks each family and size once with
 ``core.partitions`` and tallies by statistic (``_enumeration_series``
 returns one series per key from that one walk), and series are compared
-coefficientwise.  THM12, THM13 and COROLLARY tally odd partitions at the
-strict cell their Durfee statistics name, strict partitions at their own,
-and compare the two series.  LEMMA51 walks each size of the rest below
+coefficientwise.  THM12 and THM13 each send an odd partition to one
+strict cell (``_thm12_cell``, ``_thm13_cell``), and COROLLARY, GF4 and
+GF5 read those cells too.  LEMMA51 walks each size of the rest below
 one largest part once and tops each rest with every largest part m it
 allows.  Each ``check_*`` returns what it counted, or raises
 ``Counterexample`` at the first failure; ``verify`` turns either into a
@@ -53,6 +53,29 @@ def _enumeration_series(order, key, **family) -> list[MultiSeries]:
     return [MultiSeries(order, series) for series in terms.values()]
 
 
+def _strict_cell(p) -> tuple[int, int]:
+    """A strict partition's cell (odd runs, parts), as GF_SOL_LEN weights it."""
+    return sol(p), p.length
+
+
+def _thm12_cell(p) -> tuple[int, int]:
+    """THM12's strict cell of an odd partition: (2m + t, 2k - t) at
+    2-modular Durfee side k, sub-side m and type t, 0 for I and 1 for II;
+    the empty partition at (0, 0)."""
+    if not p:
+        return 0, 0
+    kind, m = dur2_sub(p)
+    t = kind is DurfeeType.TYPE_II
+    return 2 * m + t, 2 * dur2(p) - t
+
+
+def _thm13_cell(p) -> tuple[int, int]:
+    """THM13's strict cell of an odd partition: (alt, 2k - alt % 2) at
+    2-modular Durfee side k and alternating index alt."""
+    alt = alternating_index(p)
+    return alt, 2 * dur2(p) - alt % 2
+
+
 # -- checkers -------------------------------------------------------------------
 
 
@@ -77,7 +100,7 @@ def check_thm11(order: int) -> dict:
 def check_eq11(order: int) -> dict:
     """Built sol/length series equals direct enumeration over strict partitions."""
     built = qseries.build("GF_SOL_LEN", order)
-    (expected,) = _enumeration_series(order, lambda p: (sol(p), p.length), distinct=True)
+    (expected,) = _enumeration_series(order, _strict_cell, distinct=True)
     return {"terms": compare_series(built, expected)}
 
 
@@ -115,80 +138,53 @@ def _check_cells(nmax: int, odd_key, strict_key) -> dict:
 
 
 def check_thm12(nmax: int) -> dict:
-    """Type I/II Durfee-square counts against strict-partition counts.
-
-    Odd partitions are tallied at their strict-side cell x^(odd runs)
-    y^(parts): type I at Durfee side k, sub-side m at (2m, 2k), type II at
-    (2m+1, 2k-1).  Strict partitions are tallied as in GF_SOL_LEN.
-    """
-
-    def odd_key(p):
-        kind, m = dur2_sub(p) if p else (DurfeeType.TYPE_I, 0)
-        type_ii = kind is DurfeeType.TYPE_II
-        return 2 * m + type_ii, 2 * dur2(p) - type_ii
-
-    return _check_cells(nmax, odd_key, lambda p: (sol(p), p.length))
+    """Odd partitions at their 2-modular Durfee cell (``_thm12_cell``)
+    against strict partitions at (odd runs, parts)."""
+    return _check_cells(nmax, _thm12_cell, _strict_cell)
 
 
 def check_thm13(nmax: int) -> dict:
-    """Alternating-index counts against strict-partition counts.
-
-    Odd partitions with Durfee side k and alternating index m are tallied
-    at (m, 2k - m % 2), strict partitions by (odd runs, parts).  A strict
-    partition's parts and odd runs share parity, so a strict cell of mixed
-    parity has no odd preimage and fails against 0.
-    """
-
-    def odd_key(p):
-        m = alternating_index(p)
-        return m, 2 * dur2(p) - m % 2
-
-    return _check_cells(nmax, odd_key, lambda p: (sol(p), p.length))
+    """Odd partitions at their alternating-index cell (``_thm13_cell``)
+    against strict partitions at (odd runs, parts).  A strict partition's
+    parts and odd runs share parity, so a strict cell of mixed parity has
+    no odd preimage and fails against 0."""
+    return _check_cells(nmax, _thm13_cell, _strict_cell)
 
 
 def check_corollary(nmax: int) -> dict:
-    """Euler refinement through the 2-modular Durfee side.
-
-    Checked in the form the theorems actually sum to: odd partitions with
-    Durfee side j are tallied at 2j parts if of type I and 2j-1 if of type
-    II, strict partitions by their number of parts; hence strict partitions
-    with 2j-1 or 2j parts match odd partitions with Durfee side j.
-    """
-
-    def odd_key(p):
-        return 0, 2 * dur2(p) - (bool(p) and dur2_sub(p)[0] is DurfeeType.TYPE_II)
-
-    return _check_cells(nmax, odd_key, lambda p: (0, p.length))
+    """Euler refinement through the 2-modular Durfee side: THM12's cell
+    without its odd runs, against strict partitions by parts, so strict
+    partitions with 2j - 1 or 2j parts match odd partitions of side j."""
+    return _check_cells(nmax, lambda p: (0, _thm12_cell(p)[1]), lambda p: (0, p.length))
 
 
-def _check_against_sol_len(order, built, enumerated, reindex) -> dict:
-    """``built`` against enumeration, then against GF_SOL_LEN with its
-    exponents sent through ``reindex``."""
-    terms = compare_series(built, enumerated, "against enumeration: ")
-    reindexed = qseries.build("GF_SOL_LEN", order).map_exponents(reindex)
-    return {"terms": terms + compare_series(built, reindexed, "against reindexed: ")}
+def _check_refinement(order: int, cell, name: str, reindex) -> dict:
+    """Odd partitions tallied at ``cell`` against GF_SOL_LEN, then the
+    built series ``name`` against that tally sent through ``reindex``."""
+    (odd,) = _enumeration_series(order, cell, odd=True)
+    sol_len = qseries.build("GF_SOL_LEN", order)
+    terms = compare_series(odd, sol_len, "odd against GF_SOL_LEN: ")
+    built = qseries.build(name, order)
+    terms += compare_series(built, odd.map_exponents(reindex), "against enumeration: ")
+    return {"terms": terms}
 
 
 def check_gf4(order: int) -> dict:
-    """Durfee-type series against enumeration and the reindexed sol/length series."""
-    built = qseries.build("GF_A_TYPES", order)
-    (enumerated,) = _enumeration_series(
-        order, lambda p: (dur2_sub(p)[1] if p else 0, dur2(p)), odd=True
-    )
-    return _check_against_sol_len(
-        order, built, enumerated, lambda q, x, y: (q, x // 2, (y + 1) // 2)
+    """GF_A_TYPES through THM12's cell: the odd tally at ``_thm12_cell``
+    is GF_SOL_LEN, and sent to (x // 2, ceil(y/2)) it is GF_A_TYPES.  That
+    reindex forgets only the type t, as (2m + t) // 2 = m and
+    ceil((2k - t)/2) = k; the full-grain comparison sees it."""
+    return _check_refinement(
+        order, _thm12_cell, "GF_A_TYPES", lambda q, x, y: (q, x // 2, (y + 1) // 2)
     )
 
 
 def check_gf5(order: int) -> dict:
-    """Alternating-index series against enumeration and the reindexed series."""
-    built = qseries.build("GF_B", order)
-    (enumerated,) = _enumeration_series(
-        order, lambda p: (alternating_index(p), dur2(p)), odd=True
-    )
-    return _check_against_sol_len(
-        order, built, enumerated, lambda q, x, y: (q, x, (y + 1) // 2)
-    )
+    """GF_B through THM13's cell: the odd tally at ``_thm13_cell`` is
+    GF_SOL_LEN, and sent to (x, ceil(y/2)) it is GF_B.  That reindex loses
+    nothing: a strict partition's parts and odd runs share parity, so
+    len = 2 ceil(len/2) - sol % 2 on GF_SOL_LEN's support."""
+    return _check_refinement(order, _thm13_cell, "GF_B", lambda q, x, y: (q, x, (y + 1) // 2))
 
 
 def _transported_stats(p: Partition, image: Partition) -> dict:
@@ -238,15 +234,14 @@ def check_sylvester(nmax: int) -> dict:
     checked = 0
     for n in range(nmax + 1):
         images = set()
-        total = 0
+        start = checked
         for p in partitions(n, odd=True):
-            total += 1
             image = maps.sylvester(p)
             _transported_stats(p, image)
             images.add(image.parts)
             checked += 1
         strict_set = {p.parts for p in partitions(n, distinct=True)}
-        if images != strict_set or len(images) != total:
+        if images != strict_set or len(images) != checked - start:
             raise Counterexample(f"image of odd partitions of {n} is not all strict partitions")
     return {"partitions": checked}
 

@@ -589,6 +589,12 @@ class TestLaurentPoly:
         with pytest.raises(ValueError):
             LaurentPoly({(0, -1): 1})
 
+    @pytest.mark.parametrize("terms", [{(0.5, 0): 1}, {(0, 0): 1.25}, {(True, 0): 1}])
+    def test_rejects_a_non_integer_exponent_or_coefficient(self, terms):
+        # exact integers only: a float, or a bool passing for an int
+        with pytest.raises(ValueError, match="^non-integer term "):
+            LaurentPoly(terms)
+
     def test_poch_rejects_a_negative_length(self):
         # as pochhammer does; a negative length is not the empty product
         for coeff in (1, 0):

@@ -20,6 +20,8 @@ from partition_lab.verify import (
     CHECKERS,
     FamilySpec,
     _check_cells,
+    _thm12_cell,
+    _thm13_cell,
     enumerate_family,
     example_sets,
     verify,
@@ -251,7 +253,8 @@ class TestCheckers:
                 "GF4",
                 {"order": 5},
                 "GF4 order<=5 FAIL",
-                "against enumeration: q^1 x^0 y^0: built 0, expected 1",
+                # the odd partition 1, of type II, sits at 2 * 0 - 1 parts
+                "1: key (1, -1) has a negative exponent",
             ),
             (
                 "parity_index",
@@ -290,7 +293,7 @@ class TestCheckers:
                 "GF5",
                 {"order": 5},
                 "GF5 order<=5 FAIL",
-                "against enumeration: q^1 x^0 y^1: built 0, expected 1",
+                "odd against GF_SOL_LEN: q^1 x^0 y^2: built 1, expected 0",
             ),
             (
                 "dur2",
@@ -327,14 +330,15 @@ class TestCheckers:
             ),
             (
                 # GF_SOL_LEN weighted by the 2-measure: GF_B still matches
-                # enumeration, so only the reindexed comparison can fail
+                # the reindexed odd tally, so only the comparison of that
+                # tally with GF_SOL_LEN can fail
                 qseries,
                 "build_run_double_sum_gf",
                 lambda real: lambda order, x_weight: real(order, lambda i, j: i + j),
                 "GF5",
                 {"order": 5},
                 "GF5 order<=5 FAIL",
-                "against reindexed: q^3 x^0 y^1: built 1, expected 0",
+                "odd against GF_SOL_LEN: q^3 x^0 y^2: built 1, expected 0",
             ),
             (
                 verify_module,
@@ -634,7 +638,7 @@ class TestCheckers:
             "THM12": {"cells": 168},
             "THM13": {"cells": 168},
             "COROLLARY": {"cells": 107},
-            "GF4": {"terms": 230},
+            "GF4": {"terms": 272},
             "GF5": {"terms": 314},
             "SYLVESTER": {"partitions": 1069},
             "INVOLUTION": {"pairs": 4158},
@@ -653,6 +657,38 @@ class TestCheckers:
             assert report.counts and all(v > 0 for v in report.counts.values()), report.line()
             assert isinstance(report.elapsed_s, float) and report.elapsed_s >= 0, report.line()
         assert {r.name: r.counts for r in reports if r.name in pinned} == pinned
+
+    @pytest.mark.deep
+    def test_every_deep_report_counts_what_it_checked(self):
+        # every deep report's counts, pinned as the desk ones are; a few
+        # seconds, so a CI step of its own runs it (pytest -m deep), and the
+        # default run leaves it out
+        pinned = {
+            "PROP_2MEASURE": {"partitions": 101983},
+            "THM11": {"terms": 825},
+            "EQ11": {"terms": 825},
+            "EQ31": {"terms": 1005},
+            "EQ_2MEASURE_P": {"terms": 4411},
+            "THM12": {"cells": 476},
+            "THM13": {"cells": 476},
+            "COROLLARY": {"cells": 250},
+            "GF4": {"terms": 647},
+            "GF5": {"terms": 762},
+            "SYLVESTER": {"partitions": 16857},
+            "INVOLUTION": {"pairs": 47079},
+            "LEMMA51": {"terms": 1642, "round_trips": 508},
+            "GLAISHER_COUNTEREX": {"partitions": 1},
+            "FINITE_LEMMAS": {
+                "terms": 6862,
+                "vanishes": 21,
+                "XQ2_EXPANSION": 9,
+                "QCHU": 49,
+                "QBINOM": 3,
+            },
+        }
+        reports = verify_all("deep")
+        assert all(reports), [r.line() for r in reports if not r]
+        assert {r.name: r.counts for r in reports} == pinned
 
     @pytest.mark.parametrize(
         "stat,fault,failing",
@@ -710,11 +746,9 @@ class TestCheckers:
                 id="parity_index+1_on_9_values",
             ),
             pytest.param(
-                # a gap: GF4 tallies (sub-side, side) without the type, so a
-                # type error that keeps both passes it
                 "dur2_sub",
                 _calling_type_ii_from_side_2_type_i,
-                {"THM12", "COROLLARY"},
+                {"THM12", "COROLLARY", "GF4"},
                 id="dur2_sub_type_ii_as_type_i_at_side_2",
             ),
         ],
@@ -727,6 +761,30 @@ class TestCheckers:
         readers = _checkers_reading(stat)
         assert readers
         assert {name for name in readers if not verify(name)} == failing
+
+    def test_gf4_fails_on_a_type_error_that_keeps_side_and_sub_side(self, monkeypatch):
+        # GF_A_TYPES forgets the type, so only the odd tally at THM12's full
+        # cell, against GF_SOL_LEN, can see it: 3+3 is type II at side 2,
+        # sub-side 0, and the flip moves it from (1, 3) to (0, 4)
+        monkeypatch.setattr(
+            verify_module, "dur2_sub", _calling_type_ii_from_side_2_type_i(dur2_sub)
+        )
+        report = verify("GF4", order=10)
+        assert report.line() == "GF4 order<=10 FAIL"
+        assert report.witness == "odd against GF_SOL_LEN: q^6 x^0 y^4: built 1, expected 0"
+
+    def test_reindex_maps_forget_exactly_what_the_typed_series_do_not_tally(self):
+        # GF4 and GF5 send THM12's and THM13's cells to the cells of
+        # GF_A_TYPES, (sub-side, side), and GF_B, (alternating index, side)
+        for n in range(31):
+            for p in partitions(n, odd=True):
+                x, y = _thm12_cell(p)
+                assert (x // 2, (y + 1) // 2) == (dur2_sub(p)[1] if p else 0, dur2(p)), p
+                x, y = _thm13_cell(p)
+                assert (x, (y + 1) // 2) == (alternating_index(p), dur2(p)), p
+        # and GF5's reindex of GF_SOL_LEN's cells is one-to-one
+        cells = {(sol(p), p.length) for n in range(31) for p in partitions(n, distinct=True)}
+        assert len({(odd_runs, (length + 1) // 2) for odd_runs, length in cells}) == len(cells)
 
 
 class TestReports:
