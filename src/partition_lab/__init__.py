@@ -40,7 +40,6 @@ from .qseries import (
     build,
     pochhammer,
 )
-from .report import Counterexample, VerificationReport
 from .shapes import (
     Border,
     DurfeeType,
@@ -53,7 +52,9 @@ from .shapes import (
     sub_durfee_side,
 )
 from .verify import (
+    Counterexample,
     FamilySpec,
+    VerificationReport,
     enumerate_family,
     example_sets,
 )

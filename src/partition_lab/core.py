@@ -34,7 +34,14 @@ class Partition:
     length: int  # number of parts, stored with them
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
-        ordered = tuple(sorted(parts, reverse=True))
+        try:
+            ordered = tuple(sorted(parts, reverse=True))
+        except TypeError:
+            # only a part that does not compare with the others stops the
+            # sort; alone, the first such part in the given order names itself
+            for part in parts:
+                Partition((part,))
+            raise
         for part in ordered:
             if type(part) is not int or part < 1:  # bool is an int subclass
                 raise ValueError(f"parts must be positive integers, got {part!r}")

@@ -22,18 +22,18 @@ nested Horner form over one-factor runs, or one recurrence loop, which
 QBINOM runs as the Pochhammer builders do; the product envelopes are one
 run each.  XQ2's Gaussian binomials are two runs, truncated at their
 degree; there is no q-Pascal table.  LaurentPoly quarantines the negative
-q-powers required by the terminating hypergeometric checks; a factor run
-multiplies one by finitely many binomials with the same shifted add per
-factor, untruncated, and its finite Pochhammer products are one times a
-run, so QCHU builds each summand as one running polynomial.
+q-powers required by the terminating hypergeometric identities; a factor
+run multiplies one by finitely many binomials with the same shifted add
+per factor, untruncated, and its finite Pochhammer products are one times
+a run, so QCHU builds each summand as one running polynomial.
 MultiSeries never holds a negative exponent.  No floating point anywhere.
+The ``*_sides`` functions return both sides of each finite identity for
+``verify`` to compare; this module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-
-from .report import Counterexample, compare_series
 
 Key = tuple[int, int, int]  # (q-exponent, x-exponent, y-exponent)
 
@@ -53,8 +53,8 @@ class MultiSeries:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: dict[Key, int] | None = None) -> None:
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        if type(order) is not int or order < 0:  # bool is an int subclass
+            raise ValueError(f"order must be a nonnegative integer, got {order!r}")
         self.order = order
         kept: dict[Key, int] = {}
         if terms:
@@ -256,8 +256,11 @@ def pochhammer(a: Monomial, step: int, n: int | None, order: int) -> MultiSeries
     ``n is None`` means the infinite product, which stabilises modulo
     q^(order+1) once the shifted monomial's q-exponent exceeds the order.
     A monomial without a positive q exponent makes the infinite product
-    divergent and is rejected.
+    divergent and is rejected, and so is an entry of ``a``, ``step`` or a
+    finite ``n`` that is not an int: every coefficient stays exact.
     """
+    if any(type(v) is not int for v in (*a, step, 0 if n is None else n)):  # bools too
+        raise ValueError(f"pochhammer needs integers, got {a!r}, step {step!r}, n {n!r}")
     if step < 1:
         raise ValueError("step must be a positive q-power")
     if n is not None and n < 0:
@@ -461,7 +464,7 @@ def build(name: str, order: int, **params) -> MultiSeries:
 
 class LaurentPoly:
     """Exact Laurent polynomial in q (any-sign exponents) with an optional
-    x dimension.  Used only by the finite hypergeometric checks."""
+    x dimension.  Used only by the sides of the finite identities."""
 
     __slots__ = ("terms",)
 
@@ -559,28 +562,25 @@ class LaurentPoly:
         return f"<LaurentPoly terms={len(self.terms)}>"
 
 
-# -- finite identity checks ----------------------------------------------------
+# -- finite identities ---------------------------------------------------------
 
 
-def check_qbinom(a: Monomial, order: int) -> dict:
-    """Cauchy's q-binomial theorem at z = xq,
+def qbinom_sides(a: Monomial, order: int) -> tuple[MultiSeries, MultiSeries]:
+    """Both sides of Cauchy's q-binomial theorem at z = xq,
     sum_m (a; q)_m (xq)^m / (q; q)_m = (axq; q)_inf / (xq; q)_inf,
-    compared truncated in q at 2 * order.  Each x^m rides on q^m, so for a
+    truncated in q at 2 * order.  Each x^m rides on q^m, so for a
     monomial a without x this covers every coefficient q^c x^m with
     c, m <= order of the theorem in z = x.  The left side is the
-    builders' ``_term_sum`` with head xq.  Returns the term count, or
-    raises ``Counterexample`` at the first difference."""
+    builders' ``_term_sum`` with head xq."""
     top = 2 * order
     lhs = _term_sum(top, lambda m: Monomial(1, x=1, q=1), a, 1)
     rhs = pochhammer(Monomial(a.coeff, x=a.x + 1, y=a.y, q=a.q + 1), 1, None, top)
     rhs = rhs._over_binomial(1, range(1, top + 1), 1, 0)
-    return {"terms": compare_series(lhs, rhs)}
+    return lhs, rhs
 
 
-def check_xq2_expansion(n: int) -> dict:
-    """(x; q^2)_n as a Gaussian-binomial sum, in exact (q, x) polynomials.
-    Returns the term count; ``compare_series`` raises ``Counterexample`` at
-    the smallest (q, x) where the sides differ."""
+def xq2_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(x; q^2)_n and its Gaussian-binomial sum, in exact (q, x) polynomials."""
     lhs = LaurentPoly.poch(1, 0, 2, n, x=1)
     rhs = LaurentPoly.zero()
     for i in range(n + 1):
@@ -588,24 +588,20 @@ def check_xq2_expansion(n: int) -> dict:
         head = LaurentPoly.term(sign, q=i * i - i, x=i)
         binom = LaurentPoly({(2 * q, 0): c for (q, _x, _y), c in _gauss(n, i).terms.items()})
         rhs = rhs + head * binom
-    return {"terms": compare_series(lhs, rhs)}
+    return lhs, rhs
 
 
-def check_qchu(i: int, j: int) -> dict:
-    """Terminating q-Chu-Vandermonde instance in Laurent-polynomial arithmetic.
+def qchu_sides(i: int, j: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Both sides of a terminating q-Chu-Vandermonde instance, as Laurent polynomials.
 
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
-    (q^(2n+2); q^2)_(j-n); the comparison then stays in Z[q, q^-1].  Each
+    (q^(2n+2); q^2)_(j-n); the sides then stay in Z[q, q^-1].  Each
     summand, and the right side, is one running polynomial: its first
     Pochhammer factor comes from ``LaurentPoly.poch`` and the others are
     factor runs on it, so only the monomials q^n and +-q^(j(i+1)) are
-    products.
-    Returns the term count and whether both sides vanish, which they must
-    do exactly when j > i: the right side then carries the factor 1 - q^0
-    of (q^-i; q)_j.  ``compare_series`` raises ``Counterexample`` at the
-    smallest (q, x) where the sides differ, and a vanishing that breaks
-    that rule raises one too.
+    products.  Both sides vanish exactly when j > i: the right side then
+    carries the factor 1 - q^0 of (q^-i; q)_j.
     """
     lhs = LaurentPoly.zero()
     for n in range(j + 1):
@@ -618,9 +614,4 @@ def check_qchu(i: int, j: int) -> dict:
     sign = -1 if j % 2 else 1
     rhs = LaurentPoly.poch(1, -i, 1, j)._times_run(1, 1, 1, j)
     rhs = LaurentPoly.term(sign, q=j * (i + 1)) * rhs
-    terms = compare_series(lhs, rhs)
-    vanishes = lhs.is_zero()
-    if vanishes != (j > i):
-        said = "vanish" if vanishes else "do not vanish"
-        raise Counterexample(f"both sides {said}, but they vanish exactly when j > i")
-    return {"terms": terms, "vanishes": int(vanishes)}
+    return lhs, rhs

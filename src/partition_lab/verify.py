@@ -7,9 +7,11 @@ coefficientwise.  THM12 and THM13 each send an odd partition to one
 strict cell (``_thm12_cell``, ``_thm13_cell``), and COROLLARY, GF4 and
 GF5 read those cells too.  LEMMA51 walks each size of the rest below
 one largest part once and tops each rest with every largest part m it
-allows.  Each ``check_*`` returns what it counted, or raises
-``Counterexample`` at the first failure; ``verify`` turns either into a
-``VerificationReport`` under the checker's name and bounds.
+allows.  FINITE_LEMMAS compares the sides ``qseries`` returns for each
+terminating identity.  Each ``check_*`` returns what it counted, or
+raises ``Counterexample`` at the first failure (``compare_series`` names
+the first coefficient where two series differ); ``verify`` alone turns
+either into a ``VerificationReport`` under the checker's name and bounds.
 """
 
 from __future__ import annotations
@@ -20,8 +22,111 @@ from collections import Counter, defaultdict, namedtuple
 from . import maps, qseries
 from .core import Partition, k_measure, parity_index, parse, partitions, sol
 from .qseries import Monomial, MultiSeries
-from .report import Counterexample, VerificationReport, compare_series
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
+
+_BOUND_LABELS = {"nmax": "n", "order": "order", "mmax": "m"}
+
+
+class Counterexample(Exception):
+    """The first case a check found where its identity fails; the
+    exception's text is the report's witness."""
+
+
+class VerificationReport:
+    """Outcome of one exact check, carrying a reproducible witness on failure.
+
+    ``params`` and ``counts`` default to a fresh dict each.  Equality
+    ignores ``elapsed_s``, which ``verify`` sets; a report is
+    mutable, so it is not hashable.
+    """
+
+    __slots__ = ("name", "params", "witness", "counts", "elapsed_s")
+
+    def __init__(
+        self,
+        name: str,
+        params: dict[str, object] | None = None,
+        witness: str | None = None,
+        counts: dict[str, int] | None = None,
+        elapsed_s: float | None = None,
+    ) -> None:
+        self.name = name
+        self.params = {} if params is None else params
+        self.witness = witness
+        self.counts = {} if counts is None else counts
+        self.elapsed_s = elapsed_s
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, VerificationReport):
+            return (
+                self.name == other.name
+                and self.params == other.params
+                and self.witness == other.witness
+                and self.counts == other.counts
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(name={self.name!r}, params={self.params!r}, "
+            f"witness={self.witness!r}, counts={self.counts!r}, elapsed_s={self.elapsed_s!r})"
+        )
+
+    @property
+    def passed(self) -> bool:
+        """A report passes exactly when it carries no witness."""
+        return self.witness is None
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+    @property
+    def status(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
+    def line(self) -> str:
+        """One-line machine-readable verdict, e.g. ``THM12 n<=26 PASS``."""
+        words = [self.name]
+        for key, value in self.params.items():
+            label = _BOUND_LABELS.get(key)
+            words.append(f"{label}<={value}" if label else f"{key}={value}")
+        return " ".join(words + [self.status])
+
+    def text(self) -> str:
+        """The verdict line, and under a failing one its witness."""
+        witness = "" if self.witness is None else f"\n  counterexample: {self.witness}"
+        return self.line() + witness
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "params": dict(self.params),
+            "status": self.status,
+            "witness": self.witness,
+            "counts": dict(self.counts),
+            "elapsed_s": self.elapsed_s,
+        }
+
+
+def compare_series(built, expected, where: str = "") -> int:
+    """How many terms ``built`` has, once it equals ``expected``
+    coefficientwise; otherwise a Counterexample at their first difference,
+    the smallest key, as ``where`` + ``q^c x^a y^b: built A, expected B``
+    for a ``MultiSeries`` and ``q^c x^a: ...`` for a ``LaurentPoly``.
+    Sides of different truncation orders raise ``ValueError``; a
+    ``LaurentPoly`` has none, so it never compares with a ``MultiSeries``."""
+    if getattr(built, "order", None) != getattr(expected, "order", None):
+        raise ValueError("series truncation orders differ")
+    if built.terms == expected.terms:
+        return len(built.terms)
+    for key in sorted(built.terms.keys() | expected.terms.keys()):
+        a, b = built.terms.get(key, 0), expected.terms.get(key, 0)
+        if a != b:
+            named = " ".join(f"{var}^{exp}" for var, exp in zip("qxy", key))
+            raise Counterexample(f"{where}{named}: built {a}, expected {b}")
+    return len(built.terms)
 
 
 class FamilySpec(namedtuple("FamilySpec", ("n", "strict", "odd_parts"), defaults=(False, False))):
@@ -387,26 +492,36 @@ def check_glaisher_counterexample() -> dict:
 
 
 def check_finite_lemmas(order: int) -> dict:
-    """Bundle of the terminating identities: the (x; q^2)_n expansion for
-    n <= 8, q-Chu-Vandermonde for 0 <= i, j <= 6, which must vanish exactly
-    when j > i, and the q-binomial theorem for the monomials q, q^2 and -q.
-    The counts add up every instance's counts by key, then count the
+    """Bundle of the terminating identities, each instance's two sides from
+    ``qseries`` compared: the (x; q^2)_n expansion for n <= 8,
+    q-Chu-Vandermonde for 0 <= i, j <= 6, and the q-binomial theorem for
+    the monomials q, q^2 and -q.  A row's vanishing rule, (its text,
+    whether both sides vanish), is QCHU's j > i; ``vanishes`` counts the
+    instances whose sides do.  The counts add up the terms, then count the
     instances by name.  A failing instance's witness is prefixed by its
     name and arguments, e.g. ``QCHU i=2 j=3 ``."""
-    cases = [("XQ2_EXPANSION", f"n={n}", qseries.check_xq2_expansion, (n,)) for n in range(9)]
+    cases = [("XQ2_EXPANSION", f"n={n}", qseries.xq2_sides, (n,), None) for n in range(9)]
     cases += [
-        ("QCHU", f"i={i} j={j}", qseries.check_qchu, (i, j)) for i in range(7) for j in range(7)
+        ("QCHU", f"i={i} j={j}", qseries.qchu_sides, (i, j), ("j > i", j > i))
+        for i in range(7) for j in range(7)
     ]
     cases += [
-        ("QBINOM", f"a={c}*q^{s}", qseries.check_qbinom, (Monomial(c, q=s), order))
+        ("QBINOM", f"a={c}*q^{s}", qseries.qbinom_sides, (Monomial(c, q=s), order), None)
         for c, s in ((1, 1), (1, 2), (-1, 1))
     ]
     totals, instances = Counter(), Counter()
-    for name, label, check, args in cases:
-        try:
-            totals.update(check(*args))
-        except Counterexample as exc:
-            raise Counterexample(f"{name} {label} {exc}") from exc
+    for name, label, sides, args, vanishing in cases:
+        where = f"{name} {label} "
+        lhs, rhs = sides(*args)
+        totals["terms"] += compare_series(lhs, rhs, where)
+        if vanishing:
+            rule, vanishes = vanishing
+            if lhs.is_zero() != vanishes:
+                said = "do not vanish" if vanishes else "vanish"
+                raise Counterexample(
+                    f"{where}both sides {said}, but they vanish exactly when {rule}"
+                )
+            totals["vanishes"] += vanishes
         instances[name] += 1
     return {**totals, **instances}
 

@@ -129,6 +129,10 @@ class TestPartitionType:
             ([True], "True"),
             ([3, 1.5], "1.5"),
             ((x for x in (2, 0)), "0"),
+            # parts that do not compare with the others stop the sort
+            ([3, "1"], "'1'"),
+            ([None, 2], "None"),
+            ([3, 1j], "1j"),
         ],
     )
     def test_constructor_names_the_bad_part(self, parts, bad):

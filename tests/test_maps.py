@@ -29,8 +29,8 @@ from partition_lab.maps import (
     strict_to_fixed,
     sylvester,
 )
-from partition_lab.report import Counterexample
 from partition_lab.shapes import Border, dur2, modular2_diagram
+from partition_lab.verify import Counterexample
 
 DATA = Path(__file__).parent / "data"
 

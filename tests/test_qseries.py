@@ -16,12 +16,12 @@ from partition_lab.qseries import (
     Monomial,
     MultiSeries,
     build,
-    check_qbinom,
-    check_qchu,
-    check_xq2_expansion,
     pochhammer,
+    qbinom_sides,
+    qchu_sides,
+    xq2_sides,
 )
-from partition_lab.report import Counterexample
+from partition_lab.verify import Counterexample, compare_series
 
 ORDER = 8
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -85,6 +85,12 @@ class TestRingOps:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             MultiSeries(3, {(-1, 0, 0): 1})
+
+    @pytest.mark.parametrize("bad", [-1, True, False, 2.5, 2.0, "5", None])
+    def test_order_must_be_a_nonnegative_int(self, bad):
+        # a bool order would keep a term at q^1 under order True
+        with pytest.raises(ValueError, match=f"^order must be a nonnegative integer, got {bad!r}$"):
+            MultiSeries(bad, {(1, 0, 0): 1})
 
     def test_constructors_do_not_alias_the_callers_dict(self):
         # the checked constructors keep the caller's keys, in a dict of their
@@ -256,7 +262,8 @@ class TestBinomialSteps:
             ("GF_2MEASURE_P", {}), ("GF_A_TYPES", {}), ("GF_B", {}), ("GF_PARITY", {"m": 3}),
         ):
             build(name, 10, **params)
-        assert check_qbinom(Monomial(1, q=1), 6)["terms"] > 0
+        lhs, rhs = qbinom_sides(Monomial(1, q=1), 6)
+        assert lhs == rhs and lhs.terms
 
 
 # (e, a, b, i, j) with q^e, i and 2j reaching past ORDER
@@ -334,6 +341,23 @@ class TestPochhammer:
         # a negative length would silently give the empty product
         with pytest.raises(ValueError):
             pochhammer(Monomial(1, q=1), 1, -3, 5)
+
+    @pytest.mark.parametrize(
+        "a, step, n",
+        [
+            (Monomial(0.5, q=1), 1, None),
+            (Monomial(1, x=1.0), 2, 2),
+            (Monomial(1, y=True, q=1), 1, 3),
+            (Monomial(1, q=1.0), 1, None),
+            (Monomial(1, q=1), 1.0, 3),
+            (Monomial(1, q=1), True, 3),
+            (Monomial(1, q=1), 1, 2.0),
+            (Monomial(1, q=1), 1, False),
+        ],
+    )
+    def test_non_int_entries_rejected(self, a, step, n):
+        with pytest.raises(ValueError, match="^pochhammer needs integers, got Monomial"):
+            pochhammer(a, step, n, 5)
 
     def test_poch_times_inverse(self):
         product = pochhammer(Monomial(1, q=1), 1, 3, ORDER)
@@ -615,33 +639,27 @@ class TestLaurentPoly:
 
 class TestFiniteIdentities:
     def test_xq2_trivial_case(self):
-        assert check_xq2_expansion(0) == {"terms": 1}
+        assert xq2_sides(0) == (LaurentPoly.one(), LaurentPoly.one())
 
     def test_xq2_small_range(self):
         # x^i carries q^(i(i-1)) times a Gaussian binomial in q^2 with
         # i(n - i) + 1 terms, so (x; q^2)_n has n + 1 + C(n + 1, 3) terms
         for n in range(7):
-            assert check_xq2_expansion(n) == {"terms": n + 1 + math.comb(n + 1, 3)}
+            lhs, rhs = xq2_sides(n)
+            assert lhs == rhs and len(lhs.terms) == n + 1 + math.comb(n + 1, 3)
 
     def test_qchu_example_with_vanishing(self):
-        assert check_qchu(2, 3) == {"terms": 0, "vanishes": 1}
+        assert qchu_sides(2, 3) == (LaurentPoly.zero(), LaurentPoly.zero())
 
     def test_qchu_nonvanishing(self):
         # q^10 (1 - q^-4)(1 - q^-3)(1 - q)(1 - q^2) has seven terms
-        assert check_qchu(4, 2) == {"terms": 7, "vanishes": 0}
+        lhs, rhs = qchu_sides(4, 2)
+        assert lhs == rhs and len(lhs.terms) == 7 and not lhs.is_zero()
 
-    def test_qchu_sides_equal_their_product_forms(self, monkeypatch):
-        # check_qchu builds each side as one running polynomial through the
+    def test_qchu_sides_equal_their_product_forms(self):
+        # qchu_sides builds each side as one running polynomial through the
         # factor runs; here both are the products of whole Pochhammer
         # polynomials and monomials, for every instance FINITE_LEMMAS checks
-        sides = []
-        real = qseries.compare_series
-
-        def capture(built, expected, where=""):
-            sides.append((built, expected))
-            return real(built, expected, where)
-
-        monkeypatch.setattr(qseries, "compare_series", capture)
         poch, term = LaurentPoly.poch, LaurentPoly.term
         for i in range(7):
             for j in range(7):
@@ -654,15 +672,17 @@ class TestFiniteIdentities:
                         * poch(1, 2 * n + 2, 2, j - n)
                     )
                 rhs = term(-1 if j % 2 else 1, q=j * (i + 1)) * poch(1, -i, 1, j) * poch(1, 1, 1, j)
-                check_qchu(i, j)
-                assert sides.pop() == (lhs, rhs), (i, j)
+                assert qchu_sides(i, j) == (lhs, rhs), (i, j)
 
     def test_qbinom_spec_example(self):
-        assert check_qbinom(Monomial(1, q=1), 10)["terms"] > 0
+        lhs, rhs = qbinom_sides(Monomial(1, q=1), 10)
+        assert lhs == rhs and lhs.terms and lhs.order == 20
 
     def test_qbinom_compares_up_to_twice_the_order(self, monkeypatch):
         # q^(2N) x^N is the coefficient q^N x^N of the theorem in z = x, which
-        # the substitution z = xq moves to q^(2N): a check cut at q^N misses it
+        # the substitution z = xq moves to q^(2N): sides cut at q^N miss it
+        lhs, rhs = qbinom_sides(Monomial(1, q=1), 6)
+        assert lhs.order == rhs.order == 12
         real = qseries.pochhammer
 
         def skewed(a, step, n, order):
@@ -670,17 +690,20 @@ class TestFiniteIdentities:
 
         monkeypatch.setattr(qseries, "pochhammer", skewed)
         with pytest.raises(Counterexample) as caught:
-            check_qbinom(Monomial(1, q=1), 6)
+            compare_series(*qbinom_sides(Monomial(1, q=1), 6))
         assert str(caught.value).startswith("q^12 x^6 y^0:")
 
     def test_xq2_witness_names_a_coefficient(self, monkeypatch):
         # every Gaussian binomial 1: (x; q^2)_2 keeps -x q^2, the sum loses it
         monkeypatch.setattr(qseries, "_gauss", lambda n, i: MultiSeries.one(0))
         with pytest.raises(Counterexample) as caught:
-            check_xq2_expansion(2)
+            compare_series(*xq2_sides(2))
         assert str(caught.value) == "q^2 x^1: built -1, expected 0"
 
     def test_dispatch(self):
-        assert check_xq2_expansion(3) == {"terms": 8}
-        assert check_qchu(1, 1) == {"terms": 3, "vanishes": 0}
-        assert check_qbinom(Monomial(-1, q=1), 8)["terms"] > 0
+        lhs, rhs = xq2_sides(3)
+        assert lhs == rhs and len(lhs.terms) == 8
+        lhs, rhs = qchu_sides(1, 1)
+        assert lhs == rhs and len(lhs.terms) == 3
+        lhs, rhs = qbinom_sides(Monomial(-1, q=1), 8)
+        assert lhs == rhs and lhs.terms

@@ -14,14 +14,16 @@ from partition_lab import maps, qseries
 from partition_lab import verify as verify_module
 from partition_lab.core import parity_index, parse, partitions, runs, sol
 from partition_lab.qseries import LaurentPoly, MultiSeries
-from partition_lab.report import Counterexample, VerificationReport, compare_series
 from partition_lab.shapes import DurfeeType, alternating_index, dur2, dur2_sub
 from partition_lab.verify import (
     CHECKERS,
+    Counterexample,
     FamilySpec,
+    VerificationReport,
     _check_cells,
     _thm12_cell,
     _thm13_cell,
+    compare_series,
     enumerate_family,
     example_sets,
     verify,
@@ -814,8 +816,6 @@ class TestReports:
     def test_compare_series_returns_equal_sides_without_sorting(self, monkeypatch):
         # equal sides are one dict comparison, whatever order their terms
         # were stored in; only a difference sorts the keys to name the first
-        from partition_lab import report as report_module
-
         terms = {(1, 0, 1): 1, (3, 2, 1): 5, (4, 1, 1): 2}
         built = MultiSeries(4, terms)
         expected = MultiSeries(4, dict(reversed(terms.items())))
@@ -826,7 +826,7 @@ class TestReports:
         def no_sort(keys):
             raise AssertionError("equal sides were sorted")
 
-        monkeypatch.setattr(report_module, "sorted", no_sort, raising=False)
+        monkeypatch.setattr(verify_module, "sorted", no_sort, raising=False)
         assert compare_series(built, expected) == 3
         assert compare_series(laurent, shuffled, "QCHU i=0 j=0 ") == 2
         with pytest.raises(AssertionError, match="equal sides were sorted"):
@@ -990,6 +990,43 @@ class TestExports:
                 ):
                     read.add(f"{node.value.id}.{node.attr}")
         assert sorted(read) == sorted(self.PRIVATE_READS)
+
+    def test_only_verify_checks_and_no_module_asserts(self):
+        # qseries returns the two sides of each finite identity and imports
+        # nothing from the package, so verify alone compares, raises and
+        # reports; an assert would vanish under python -O, and with it the
+        # invariant it guards
+        package = Path(partition_lab.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+        imported = [
+            ast.unparse(node)
+            for node in ast.walk(trees["qseries.py"])
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("partition_lab"))
+            or isinstance(node, ast.Import)
+            and any(alias.name.startswith("partition_lab") for alias in node.names)
+        ]
+        assert imported == []
+        owners = sorted(
+            (name, node.name)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (node.name in ("Counterexample", "compare_series", "VerificationReport")
+                 or name == "qseries.py" and node.name.startswith("check"))
+        )
+        assert owners == [
+            ("verify.py", "Counterexample"),
+            ("verify.py", "VerificationReport"),
+            ("verify.py", "compare_series"),
+        ]
+        asserts = [
+            (name, node.lineno)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []
 
     def test_import_loads_no_code_introspection_modules(self):
         # every verify call and benchmark pass imports the package cold;
