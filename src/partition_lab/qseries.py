@@ -19,13 +19,14 @@ steps store their own output unchecked and uncopied, with no zero
 coefficient, because their bounds keep every exponent nonnegative and
 within the order.  Every named series is one of two sums: a double sum in
 nested Horner form over one-factor runs, or one recurrence loop, which
-QBINOM runs as the Pochhammer builders do; the product envelopes are one
-run each.  XQ2's Gaussian binomials are two runs, truncated at their
-degree; there is no q-Pascal table.  LaurentPoly quarantines the negative
-q-powers required by the terminating hypergeometric identities; a factor
-run multiplies one by finitely many binomials with the same shifted add
-per factor, untruncated, and its finite Pochhammer products are one times
-a run, so QCHU builds each summand as one running polynomial.
+QBINOM and XQ2 run as the Pochhammer builders do; the product envelopes
+are one run each.  XQ2's Gaussian binomials are the terms of that loop
+in q^2; there is no q-Pascal table.  LaurentPoly quarantines the negative
+q-powers of q-Chu-Vandermonde, the one finite identity that has them, and
+serves QCHU alone; a factor run multiplies one by finitely many binomials
+with the same shifted add per factor, untruncated, and its finite
+Pochhammer products are one times a run, so QCHU's left side is one
+running sum and its right side one running polynomial.
 MultiSeries never holds a negative exponent.  No floating point anywhere.
 The ``*_sides`` functions return both sides of each finite identity for
 ``verify`` to compare; this module imports nothing from the package.
@@ -272,15 +273,6 @@ def pochhammer(a: Monomial, step: int, n: int | None, order: int) -> MultiSeries
     return MultiSeries.one(order)._times_binomial(a.coeff, range(a.q, stop, step), a.x, a.y)
 
 
-def _gauss(n: int, i: int) -> MultiSeries:
-    """The Gaussian binomial [n, i]_q for 0 <= i <= n: the product of
-    (1 - q^(n-i+k)) over k = 1..i in one binomial run, divided by
-    (1 - q^k) over k = 1..i in another.  Truncating at its degree i(n - i)
-    loses nothing."""
-    numerator = MultiSeries.one(i * (n - i))._times_binomial(1, range(n - i + 1, n + 1), 0, 0)
-    return numerator._over_binomial(1, range(1, i + 1), 0, 0)
-
-
 # -- named series builders ---------------------------------------------------
 
 
@@ -308,7 +300,9 @@ def _double_sum(order: int, cells) -> MultiSeries:
 def _term_sum(order: int, head, a: Monomial, step: int) -> MultiSeries:
     """Sum of t(n) over n >= 0, where t(0) = 1 and
     t(n+1) = t(n) head(n) (1 - a q^(step n)) / (1 - q^(n+1)), up to the
-    first term that truncates to zero; ``head(n)`` is a Monomial."""
+    first term that truncates to zero; ``head(n)`` is a Monomial.  With a
+    negative step the shift must reach 0, whose factor 1 - q^0 ends the
+    sum (XQ2)."""
     total: dict[Key, int] = {}
     term = MultiSeries.one(order)
     n = 0
@@ -463,8 +457,8 @@ def build(name: str, order: int, **params) -> MultiSeries:
 
 
 class LaurentPoly:
-    """Exact Laurent polynomial in q (any-sign exponents) with an optional
-    x dimension.  Used only by the sides of the finite identities."""
+    """Exact Laurent polynomial in q (any-sign exponents), keyed by (q, x)
+    so that a witness names q^c x^a.  Used only by ``qchu_sides``."""
 
     __slots__ = ("terms",)
 
@@ -483,10 +477,6 @@ class LaurentPoly:
         self.terms = kept
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({(0, 0): 1})
 
@@ -495,28 +485,31 @@ class LaurentPoly:
         return cls({(q, x): coeff})
 
     @classmethod
-    def poch(cls, coeff: int, q_start: int, step: int, n: int, x: int = 0) -> "LaurentPoly":
-        """Finite product of (1 - coeff * x^x * q^(q_start + step*t)), t < n:
+    def poch(cls, coeff: int, q_start: int, step: int, n: int) -> "LaurentPoly":
+        """Finite product of (1 - coeff * q^(q_start + step*t)), t < n:
         one times that factor run."""
-        return cls.one()._times_run(coeff, q_start, step, n, x)
+        return cls.one()._times_run(coeff, q_start, step, n)
 
-    def _times_run(self, coeff: int, q_start: int, step: int, n: int, x: int = 0) -> "LaurentPoly":
-        """This polynomial times (1 - coeff * x^x * q^(q_start + step*t)) for
-        each t < n.
+    def _times_run(self, coeff: int, q_start: int, step: int, n: int) -> "LaurentPoly":
+        """This polynomial times (1 - coeff * q^(q_start + step*t)) for each
+        t < n.
 
         One shifted add per factor, into a fresh copy of the previous
         factor's terms, deleting a coefficient as soon as it cancels: the
         step of ``MultiSeries._times_binomial`` without its truncation, as
-        q may go negative here.  A factor with coeff 0 is 1; a negative
-        length is rejected, as in ``pochhammer``."""
+        q may go negative here.  A factor with coeff 0 is 1; a length that
+        is not an int, a bool included, or is negative is rejected, as in
+        ``pochhammer``."""
+        if type(n) is not int:  # bool is an int subclass
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         out = self.terms
         for t in range(n if coeff else 0):
             shift = q_start + step * t
             source, out = out, dict(out)
-            for (q, xe), c in source.items():
-                key = (q + shift, xe + x)
+            for (q, x), c in source.items():
+                key = (q + shift, x)
                 total = out.get(key, 0) - coeff * c
                 if total:
                     out[key] = total
@@ -579,16 +572,17 @@ def qbinom_sides(a: Monomial, order: int) -> tuple[MultiSeries, MultiSeries]:
     return lhs, rhs
 
 
-def xq2_sides(n: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """(x; q^2)_n and its Gaussian-binomial sum, in exact (q, x) polynomials."""
-    lhs = LaurentPoly.poch(1, 0, 2, n, x=1)
-    rhs = LaurentPoly.zero()
-    for i in range(n + 1):
-        sign = -1 if i % 2 else 1
-        head = LaurentPoly.term(sign, q=i * i - i, x=i)
-        binom = LaurentPoly({(2 * q, 0): c for (q, _x, _y), c in _gauss(n, i).terms.items()})
-        rhs = rhs + head * binom
-    return lhs, rhs
+def xq2_sides(n: int) -> tuple[MultiSeries, MultiSeries]:
+    """Both sides of the (x; q^2)_n expansion,
+    (x; q^2)_n = sum_i (-x)^i q^(i(i-1)) [n, i]_(q^2),
+    exact at the order n(n - 1), the top q-degree.  The left side is
+    ``pochhammer``.  The right side is the builders' ``_term_sum`` in
+    Q = q^2, whose terms t(i + 1) = t(i) (-x Q^i) (1 - Q^(n-i)) / (1 - Q^(i+1))
+    end at the factor 1 - Q^0, with every q-exponent then doubled."""
+    order = n * (n - 1)
+    lhs = pochhammer(Monomial(1, x=1), 2, n, order)
+    rhs = _term_sum(order // 2, lambda i: Monomial(-1, x=1, q=i), Monomial(1, q=n), -1)
+    return lhs, MultiSeries(order, {(2 * q, x, y): c for (q, x, y), c in rhs.terms.items()})
 
 
 def qchu_sides(i: int, j: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -596,21 +590,20 @@ def qchu_sides(i: int, j: int) -> tuple[LaurentPoly, LaurentPoly]:
 
     Both sides are multiplied by (q^2; q^2)_j = (q; q)_j (-q; q)_j so the
     n-th summand's denominator cancels into the genuine polynomial
-    (q^(2n+2); q^2)_(j-n); the sides then stay in Z[q, q^-1].  Each
-    summand, and the right side, is one running polynomial: its first
-    Pochhammer factor comes from ``LaurentPoly.poch`` and the others are
-    factor runs on it, so only the monomials q^n and +-q^(j(i+1)) are
-    products.  Both sides vanish exactly when j > i: the right side then
-    carries the factor 1 - q^0 of (q^-i; q)_j.
+    (q^(2n+2); q^2)_(j-n); the sides then stay in Z[q, q^-1].  The left
+    side is one running sum, U_n = U_(n-1) (1 - q^(2n)) + q^n P_n with
+    U_0 = 1, over the running prefix P_n = (-q^(i+1); q)_n (q^-j; q)_n =
+    P_(n-1) (1 + q^(i+n)) (1 - q^(n-1-j)): 3j factor steps, the first
+    from ``LaurentPoly.poch``.  The right side is one running polynomial
+    of 2j factors, a ``poch`` and a run on it.  Only the monomials q^n
+    and +-q^(j(i+1)) are products.  Both sides vanish exactly when j > i:
+    the right side then carries the factor 1 - q^0 of (q^-i; q)_j.
     """
-    lhs = LaurentPoly.zero()
-    for n in range(j + 1):
-        summand = (
-            LaurentPoly.poch(-1, i + 1, 1, n)
-            ._times_run(1, -j, 1, n)
-            ._times_run(1, 2 * n + 2, 2, j - n)
-        )
-        lhs = lhs + LaurentPoly.term(1, q=n) * summand
+    lhs = partial = LaurentPoly.one()  # U_0 and P_0
+    for n in range(1, j + 1):
+        run = partial._times_run if n > 1 else LaurentPoly.poch  # P_0 is one
+        partial = run(-1, i + n, 1, 1)._times_run(1, n - 1 - j, 1, 1)
+        lhs = lhs._times_run(1, 2 * n, 2, 1) + LaurentPoly.term(1, q=n) * partial
     sign = -1 if j % 2 else 1
     rhs = LaurentPoly.poch(1, -i, 1, j)._times_run(1, 1, 1, j)
     rhs = LaurentPoly.term(sign, q=j * (i + 1)) * rhs

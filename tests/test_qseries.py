@@ -1,5 +1,5 @@
-"""Exact truncated series ring, Pochhammer products, Gaussian binomial
-coefficients, named series, and the finite hypergeometric checkers."""
+"""Exact truncated series ring, Pochhammer products, named series, and
+the sides of the finite hypergeometric identities."""
 
 import hashlib
 import json
@@ -41,15 +41,6 @@ small_series = st.builds(
         max_size=6,
     ),
 )
-
-
-def box_partition_count(rows, cols, size):
-    """Oracle: partitions of ``size`` with at most ``rows`` parts, each <= cols."""
-    return sum(
-        1
-        for p in partitions(size, max_part=None)
-        if p.length <= rows and (not p or p.parts[0] <= cols)
-    )
 
 
 class TestRingOps:
@@ -364,41 +355,6 @@ class TestPochhammer:
         assert product * product.invert() == MultiSeries.one(ORDER)
 
 
-def gauss(n, i):
-    # {exponent: coefficient} of the Gaussian binomial [n, i]
-    return {q: c for (q, _x, _y), c in qseries._gauss(n, i).terms.items()}
-
-
-class TestGaussBinomial:
-    def test_choose_zero(self):
-        for a in range(5):
-            assert gauss(a, 0) == {0: 1}
-
-    def test_two_choose_one(self):
-        assert gauss(2, 1) == {0: 1, 1: 1}
-
-    def test_four_choose_two_coefficients(self):
-        assert gauss(4, 2) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
-
-    def test_palindromic_and_binomial_at_q_one(self):
-        for a in range(12):
-            for b in range(a + 1):
-                coeffs = gauss(a, b)
-                top = b * (a - b)
-                assert all(coeffs[e] == coeffs[top - e] for e in range(top + 1)), (a, b)
-                assert sum(coeffs.values()) == math.comb(a, b), (a, b)
-
-    def test_counts_box_partitions(self):
-        for a in range(9):
-            for b in range(a + 1):
-                coeffs = gauss(a, b)
-                # one past the top degree reads 0 by truncation at that degree
-                for size in range(b * (a - b) + 2):
-                    assert coeffs.get(size, 0) == box_partition_count(
-                        b, a - b, size
-                    ), (a, b, size)
-
-
 class TestSerialization:
     def test_line_format_and_sorting(self):
         series = series_from_terms([((2, 1, 0), 3), ((0, 0, 0), 1), ((2, 0, 1), -1)])
@@ -602,12 +558,11 @@ class TestLaurentPoly:
         # poch's shifted adds against the general product, factor by factor,
         # across cancelling (q^0) and negative q-powers
         for step in (1, 2):
-            for x in (0, 1):
-                expected = LaurentPoly.one()
-                for n in range(7):
-                    assert LaurentPoly.poch(coeff, q_start, step, n, x) == expected
-                    factor = LaurentPoly.term(coeff, q=q_start + step * n, x=x)
-                    expected = expected * (LaurentPoly.one() - factor)
+            expected = LaurentPoly.one()
+            for n in range(7):
+                assert LaurentPoly.poch(coeff, q_start, step, n) == expected
+                factor = LaurentPoly.term(coeff, q=q_start + step * n)
+                expected = expected * (LaurentPoly.one() - factor)
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
@@ -620,10 +575,16 @@ class TestLaurentPoly:
             LaurentPoly(terms)
 
     def test_poch_rejects_a_negative_length(self):
-        # as pochhammer does; a negative length is not the empty product
+        # as pochhammer does; a negative length is not the empty product,
+        # True is not one factor 1 - q^0, and 2.0 is not two factors
         for coeff in (1, 0):
             with pytest.raises(ValueError, match="^n must be nonnegative, got -2$"):
                 LaurentPoly.poch(coeff, 0, 1, -2)
+            for n in (True, 2.0):
+                with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+                    LaurentPoly.poch(coeff, 0, 1, n)
+                with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+                    LaurentPoly.one()._times_run(coeff, 0, 1, n)
         assert LaurentPoly.poch(1, 0, 1, 0) == LaurentPoly.one()
 
     def test_non_polynomial_operands_raise_type_error(self):
@@ -639,17 +600,19 @@ class TestLaurentPoly:
 
 class TestFiniteIdentities:
     def test_xq2_trivial_case(self):
-        assert xq2_sides(0) == (LaurentPoly.one(), LaurentPoly.one())
+        assert xq2_sides(0) == (MultiSeries.one(0), MultiSeries.one(0))
 
     def test_xq2_small_range(self):
         # x^i carries q^(i(i-1)) times a Gaussian binomial in q^2 with
-        # i(n - i) + 1 terms, so (x; q^2)_n has n + 1 + C(n + 1, 3) terms
-        for n in range(7):
+        # i(n - i) + 1 terms, so (x; q^2)_n has n + 1 + C(n + 1, 3) terms,
+        # all within the order n(n - 1) that both sides are cut at
+        for n in range(13):
             lhs, rhs = xq2_sides(n)
-            assert lhs == rhs and len(lhs.terms) == n + 1 + math.comb(n + 1, 3)
+            assert lhs == rhs and lhs.order == n * (n - 1)
+            assert len(lhs.terms) == n + 1 + math.comb(n + 1, 3)
 
     def test_qchu_example_with_vanishing(self):
-        assert qchu_sides(2, 3) == (LaurentPoly.zero(), LaurentPoly.zero())
+        assert qchu_sides(2, 3) == (LaurentPoly(), LaurentPoly())
 
     def test_qchu_nonvanishing(self):
         # q^10 (1 - q^-4)(1 - q^-3)(1 - q)(1 - q^2) has seven terms
@@ -657,13 +620,14 @@ class TestFiniteIdentities:
         assert lhs == rhs and len(lhs.terms) == 7 and not lhs.is_zero()
 
     def test_qchu_sides_equal_their_product_forms(self):
-        # qchu_sides builds each side as one running polynomial through the
-        # factor runs; here both are the products of whole Pochhammer
-        # polynomials and monomials, for every instance FINITE_LEMMAS checks
+        # qchu_sides builds its left side as one running sum and its right
+        # side as one running polynomial; here each summand and the right
+        # side are products of whole Pochhammer polynomials and monomials,
+        # past every instance FINITE_LEMMAS checks
         poch, term = LaurentPoly.poch, LaurentPoly.term
-        for i in range(7):
-            for j in range(7):
-                lhs = LaurentPoly.zero()
+        for i in range(9):
+            for j in range(9):
+                lhs = LaurentPoly()
                 for n in range(j + 1):
                     lhs = lhs + (
                         poch(-1, i + 1, 1, n)
@@ -673,6 +637,35 @@ class TestFiniteIdentities:
                     )
                 rhs = term(-1 if j % 2 else 1, q=j * (i + 1)) * poch(1, -i, 1, j) * poch(1, 1, 1, j)
                 assert qchu_sides(i, j) == (lhs, rhs), (i, j)
+
+    def test_qchu_sides_take_5j_factor_steps(self, monkeypatch):
+        # every factor goes through _times_run, poch's included: 3j on the
+        # left, one running sum over one running prefix, and 2j on the right
+        real, steps = LaurentPoly._times_run, []
+
+        def counted(self, coeff, q_start, step, n):
+            steps.append(n)
+            return real(self, coeff, q_start, step, n)
+
+        monkeypatch.setattr(LaurentPoly, "_times_run", counted)
+        for i, j in ((0, 0), (6, 6), (2, 5), (7, 3), (12, 12)):
+            steps.clear()
+            qchu_sides(i, j)
+            assert sum(steps) == 5 * j, (i, j)
+
+    @pytest.mark.deep
+    def test_finite_identities_past_desk(self):
+        # past FINITE_LEMMAS' n <= 8 and i, j <= 6: XQ2 for n <= 16 and QCHU
+        # for i, j <= 10, each through verify's comparison, and QCHU's sides
+        # vanish exactly when j > i
+        for n in range(17):
+            lhs, rhs = xq2_sides(n)
+            assert compare_series(lhs, rhs, f"XQ2_EXPANSION n={n} ") == n + 1 + math.comb(n + 1, 3)
+        for i in range(11):
+            for j in range(11):
+                lhs, rhs = qchu_sides(i, j)
+                compare_series(lhs, rhs, f"QCHU i={i} j={j} ")
+                assert lhs.is_zero() == (j > i), (i, j)
 
     def test_qbinom_spec_example(self):
         lhs, rhs = qbinom_sides(Monomial(1, q=1), 10)
@@ -694,11 +687,14 @@ class TestFiniteIdentities:
         assert str(caught.value).startswith("q^12 x^6 y^0:")
 
     def test_xq2_witness_names_a_coefficient(self, monkeypatch):
-        # every Gaussian binomial 1: (x; q^2)_2 keeps -x q^2, the sum loses it
-        monkeypatch.setattr(qseries, "_gauss", lambda n, i: MultiSeries.one(0))
+        # a product in steps of q, not q^2: (x; q)_2 has -x q, the sum has not
+        real = qseries.pochhammer
+        monkeypatch.setattr(
+            qseries, "pochhammer", lambda a, step, n, order: real(a, 1, n, order)
+        )
         with pytest.raises(Counterexample) as caught:
             compare_series(*xq2_sides(2))
-        assert str(caught.value) == "q^2 x^1: built -1, expected 0"
+        assert str(caught.value) == "q^1 x^1 y^0: built -1, expected 0"
 
     def test_dispatch(self):
         lhs, rhs = xq2_sides(3)

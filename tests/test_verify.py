@@ -372,8 +372,8 @@ class TestCheckers:
                 "glaisher(11+3+1) = 8+6+1, sol = 3",
             ),
             (
-                # a product that drops the sign of its coefficient leaves
-                # (x; q^2)_n alone and breaks the (-q^(i+1); q)_n factors
+                # a product that drops the sign of its coefficient breaks
+                # the first factor 1 + q^(i+1) of QCHU's (-q^(i+1); q)_n
                 LaurentPoly,
                 "poch",
                 lambda real: classmethod(
@@ -393,7 +393,7 @@ class TestCheckers:
                 "FINITE_LEMMAS",
                 {"order": 6},
                 "FINITE_LEMMAS order<=6 FAIL",
-                "QBINOM a=1*q^1 q^12 x^6 y^0: built 0, expected 1",
+                "XQ2_EXPANSION n=4 q^12 x^6 y^0: built 1, expected 0",
             ),
             (
                 # a phi that moves two fixed pairs of one weight onto each
