@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     examples = commands.add_parser("examples", help="emit a worked example family")
-    examples.add_argument("preset", choices=("16-4-2", "15-3-1"))
+    examples.add_argument("preset", choices=verify.EXAMPLE_PRESETS)
     examples.set_defaults(func=_cmd_examples)
 
     diagram = commands.add_parser("diagram", help="draw a 2-modular diagram")

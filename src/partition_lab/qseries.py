@@ -81,10 +81,6 @@ class MultiSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "MultiSeries":
-        return cls(order, {})
-
-    @classmethod
     def one(cls, order: int) -> "MultiSeries":
         return cls(order, {(0, 0, 0): 1})
 
@@ -94,14 +90,11 @@ class MultiSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _require_compatible(self, other: "MultiSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("series truncation orders differ")
-
     def __add__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        self._require_compatible(other)
+        if self.order != other.order:
+            raise ValueError("series truncation orders differ")
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0) + coeff
@@ -110,7 +103,8 @@ class MultiSeries:
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        self._require_compatible(other)
+        if self.order != other.order:
+            raise ValueError("series truncation orders differ")
         out: dict[Key, int] = {}
         order = self.order
         for (q1, x1, y1), c1 in self.terms.items():
@@ -283,10 +277,10 @@ def _double_sum(order: int, cells) -> MultiSeries:
     rows: dict[int, dict[int, list[Key]]] = {}
     for e, a, b, i, j in cells:
         rows.setdefault(j, {}).setdefault(i, []).append((e, a, b))
-    total = MultiSeries.zero(order)
+    total = MultiSeries(order)
     for j in range(max(rows, default=0), -1, -1):
         row = rows.get(j, {})
-        inner = MultiSeries.zero(order)
+        inner = MultiSeries(order)
         for i in range(max(row, default=0), -1, -1):
             inner = inner + MultiSeries(order, Counter(row.get(i, ())))
             if i:
@@ -481,8 +475,8 @@ class LaurentPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def term(cls, coeff: int, q: int = 0, x: int = 0) -> "LaurentPoly":
-        return cls({(q, x): coeff})
+    def term(cls, coeff: int, q: int = 0) -> "LaurentPoly":
+        return cls({(q, 0): coeff})
 
     @classmethod
     def poch(cls, coeff: int, q_start: int, step: int, n: int) -> "LaurentPoly":

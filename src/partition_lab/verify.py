@@ -24,7 +24,7 @@ from .core import Partition, k_measure, parity_index, parse, partitions, sol
 from .qseries import Monomial, MultiSeries
 from .shapes import DurfeeType, alternating_index, dur2, dur2_sub
 
-_BOUND_LABELS = {"nmax": "n", "order": "order", "mmax": "m"}
+_BOUND_LABELS = {"nmax": "n", "order": "order", "mmax": "m", "k": "k"}
 
 
 class Counterexample(Exception):
@@ -87,11 +87,10 @@ class VerificationReport:
         return "PASS" if self.passed else "FAIL"
 
     def line(self) -> str:
-        """One-line machine-readable verdict, e.g. ``THM12 n<=26 PASS``."""
+        """One-line machine-readable verdict, e.g. ``THM12 n<=26 PASS``: each
+        param as an upper bound, under its ``_BOUND_LABELS`` label or its name."""
         words = [self.name]
-        for key, value in self.params.items():
-            label = _BOUND_LABELS.get(key)
-            words.append(f"{label}<={value}" if label else f"{key}={value}")
+        words += [f"{_BOUND_LABELS.get(key, key)}<={value}" for key, value in self.params.items()]
         return " ".join(words + [self.status])
 
     def text(self) -> str:
@@ -209,18 +208,18 @@ def check_eq11(order: int) -> dict:
     return {"terms": compare_series(built, expected)}
 
 
-def check_eq31(order: int, k: int | None = None) -> dict:
-    """k-measure series against enumeration, k in {1, 2, 3} by default, all from one walk."""
-    ks = (k,) if k is not None else (1, 2, 3)
+def check_eq31(order: int, k: int) -> dict:
+    """k-measure series against enumeration for every k' = 1, ..., k, all
+    from one walk; a failing k' prefixes its witness, e.g. ``k=2 ``."""
 
     def key(p):
         cell = ()
-        for kk in ks:
+        for kk in range(1, k + 1):
             cell += (k_measure(p, kk), p.length)
         return cell
 
     terms = 0
-    for kk, expected in zip(ks, _enumeration_series(order, key, distinct=True)):
+    for kk, expected in enumerate(_enumeration_series(order, key, distinct=True), 1):
         built = qseries.build("GF_KMEASURE", order, k=kk)
         terms += compare_series(built, expected, f"k={kk} ")
     return {"terms": terms}
@@ -580,6 +579,8 @@ _EXAMPLE_SETS = {
     },
 }
 
+EXAMPLE_PRESETS = tuple(_EXAMPLE_SETS)
+
 
 def example_sets(preset: str) -> dict[str, list[Partition]]:
     """The worked example families, keyed "A", "B", "D", in printed order.
@@ -590,24 +591,25 @@ def example_sets(preset: str) -> dict[str, list[Partition]]:
     try:
         raw = _EXAMPLE_SETS[preset]
     except KeyError:
-        raise ValueError(f"unknown preset {preset!r}; choose from {tuple(_EXAMPLE_SETS)}") from None
+        raise ValueError(f"unknown preset {preset!r}; choose from {EXAMPLE_PRESETS}") from None
     return {key: [parse(text) for text in values] for key, values in raw.items()}
 
 
 # -- registry ---------------------------------------------------------------------
 
 # name -> (function, {bound: (least, desk, deep)}), a value per PROFILES
-# entry.  Below its least value a bound would check nothing, or, for k, ask
-# for a k-measure that does not exist; LEMMA51's order >= mmax, which
-# relates two bounds, is its checker's own.  Desk values finish comfortably
-# on a laptop, deep ones in seconds; deep nmax 45 = 9+9+9+9+9 is the first
-# size with 2-modular Durfee side 5.  None leaves a bound to the checker.
+# entry; every bound is an upper bound (EQ31 checks k' = 1, ..., k).  Below
+# its least value a bound would check nothing, or, for k, ask for a
+# k-measure that does not exist; LEMMA51's order >= mmax, which relates two
+# bounds, is its checker's own.  Desk values finish comfortably on a laptop,
+# deep ones in seconds; deep nmax 45 = 9+9+9+9+9 is the first size with
+# 2-modular Durfee side 5.
 PROFILES = ("desk", "deep")
 CHECKERS = {
     "PROP_2MEASURE": (check_prop_2measure, {"nmax": (0, 40, 60)}),
     "THM11": (check_thm11, {"order": (0, 30, 60)}),
     "EQ11": (check_eq11, {"order": (0, 25, 60)}),
-    "EQ31": (check_eq31, {"order": (0, 22, 40), "k": (1, None, None)}),
+    "EQ31": (check_eq31, {"order": (0, 22, 40), "k": (1, 3, 3)}),
     "EQ_2MEASURE_P": (check_eq_2measure_p, {"order": (0, 20, 50)}),
     "THM12": (check_thm12, {"nmax": (0, 26, 45)}),
     "THM13": (check_thm13, {"nmax": (0, 26, 45)}),
@@ -627,7 +629,8 @@ def verify(name: str, profile: str = "desk", **bounds) -> VerificationReport:
     bound left unset or ``None``.
 
     The checker's ``CHECKERS`` row names the bounds it accepts, and this is
-    the one place each bound is checked against its least value.  The
+    the one place a given bound is checked: known, an int and not a bool,
+    and at least its least value (the tests pin the row's own values).  The
     report carries the checker's name and bounds, and its counts, or the
     witness of the ``Counterexample`` it raised; ``elapsed_s`` is the
     checker's wall time.  Any other exception propagates.
@@ -639,19 +642,18 @@ def verify(name: str, profile: str = "desk", **bounds) -> VerificationReport:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     column = PROFILES.index(profile) + 1
-    kwargs = {key: row[column] for key, row in limits.items() if row[column] is not None}
+    kwargs = {key: row[column] for key, row in limits.items()}
     for key, value in bounds.items():
         if value is None:
             continue
         if key not in limits:
             raise ValueError(f"checker {name} does not accept bound {key!r}")
-        kwargs[key] = value
-    for key, value in kwargs.items():
         if type(value) is not int:  # bool is an int subclass
             raise ValueError(f"checker {name} needs an integer {key}, got {value!r}")
         least = limits[key][0]
         if value < least:
             raise ValueError(f"checker {name} needs {key} >= {least}, got {value}")
+        kwargs[key] = value
     start = time.perf_counter()
     try:
         counts, witness = func(**kwargs), None

@@ -138,15 +138,14 @@ def test_criterion_08_involution():
 
 
 def test_criterion_09_k_measure_series():
-    ok = True
-    detail = ""
-    for k in (1, 2, 3):
-        report = verify("EQ31", order=22, k=k)
-        ok = ok and report.passed
-        detail = detail or (report.witness or "")
+    eq31 = verify("EQ31", order=22, k=3)  # k = 1, 2 and 3 from one walk
     report = verify("EQ_2MEASURE_P", order=20)
-    ok = ok and report.passed
-    _verdict(9, "k-measure series (k=1,2,3; order 22) and all-partition series (order 20)", ok, detail or (report.witness or ""))
+    _verdict(
+        9,
+        "k-measure series (k=1,2,3; order 22) and all-partition series (order 20)",
+        eq31.passed and report.passed,
+        eq31.witness or report.witness or "",
+    )
 
 
 def test_criterion_10_type_split_series():

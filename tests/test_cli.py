@@ -274,6 +274,20 @@ class TestTableAndExamples:
         data = json.loads(json_out)
         assert data["sets"]["D"] == ["12+2+1", "10+3+2", "8+4+3", "7+6+2", "6+5+4"]
 
+    def test_examples_choices_are_the_presets(self, capsys):
+        # the parser takes its choices from verify's table, so a new preset
+        # reaches the command line without a second list to edit
+        commands = next(
+            action for action in cli.build_parser()._actions if action.dest == "command"
+        )
+        preset = next(
+            action for action in commands.choices["examples"]._actions if action.dest == "preset"
+        )
+        assert preset.choices == verify_module.EXAMPLE_PRESETS
+        assert verify_module.EXAMPLE_PRESETS == tuple(verify_module._EXAMPLE_SETS)
+        code, _, err = run(capsys, "examples", "16-4-1")
+        assert code == 2 and "16-4-1" in err
+
     def test_diagram(self, capsys):
         code, out, _ = run(capsys, "diagram", "9+7+7+5+1+1", "--border", "right")
         assert code == 0

@@ -195,7 +195,7 @@ class TestCheckers:
                 verify("THM12", nmax=bad)
 
     def test_report_params_are_the_bounds_run_at(self):
-        assert verify("EQ31").params == {"order": 22}
+        assert verify("EQ31").params == {"order": 22, "k": 3}
         assert verify("EQ31", order=5, k=2).params == {"order": 5, "k": 2}
         assert verify("LEMMA51", mmax=2).params == {"mmax": 2, "order": 30}
         assert verify("THM12", profile="deep").params == {"nmax": 45}
@@ -208,12 +208,13 @@ class TestCheckers:
             verify_all("nonsense")
 
     def test_bound_rows_rise_from_least_to_desk_to_deep(self):
+        # verify checks the bounds it is given, not the row's own values, so
+        # every row entry is pinned here: an int, not a bool, and rising
         for name, (_func, limits) in CHECKERS.items():
-            for key, (least, desk, deep) in limits.items():
-                if (name, key) == ("EQ31", "k"):  # both leave k to the checker
-                    assert desk is deep is None
-                else:
-                    assert least <= desk <= deep, (name, key)
+            for key, row in limits.items():
+                assert all(type(value) is int for value in row), (name, key)
+                least, desk, deep = row
+                assert least <= desk <= deep, (name, key)
         # 45 = 9+9+9+9+9 is the first size with 2-modular Durfee side 5,
         # k(2k - 1) at k = 5, so deep reaches it on the odd-partition side
         assert dur2(parse("9+9+9+9+9")) == 5
@@ -239,8 +240,8 @@ class TestCheckers:
             (
                 "k_measure",
                 "EQ31",
-                {"order": 5},
-                "EQ31 order<=5 FAIL",
+                {"order": 5, "k": 3},
+                "EQ31 order<=5 k<=3 FAIL",
                 "k=1 q^1 x^0 y^1: built 0, expected 1",
             ),
             (
@@ -358,8 +359,8 @@ class TestCheckers:
                 "k_measure",
                 lambda real: lambda p, k: real(p, k) + (k == 3 and p.length == 2),
                 "EQ31",
-                {"order": 6},
-                "EQ31 order<=6 FAIL",
+                {"order": 6, "k": 3},
+                "EQ31 order<=6 k<=3 FAIL",
                 "k=3 q^3 x^1 y^2: built 1, expected 0",
             ),
             (
@@ -476,21 +477,37 @@ class TestCheckers:
             ("EQ_2MEASURE_P", {"order": 7}),
             ("GF4", {"order": 7}),
             ("GF5", {"order": 7}),
+            ("EQ31", {"order": 7, "k": 4}),  # past the profiles' k
         ],
     )
     def test_series_checker_walks_each_size_once(self, monkeypatch, name, bounds):
-        # one walk of each size serves every key: EQ31 tallies k = 1, 2
-        # and 3 from the same strict partitions, not one walk per k
-        walked = []
-        real = verify_module.partitions
+        # one walk of each size serves every key: EQ31 tallies k = 1, ..., k
+        # from the same strict partitions, not one walk per k, and builds
+        # each series once
+        k = bounds.get("k", CHECKERS["EQ31"][1]["k"][1])
+        builds = {
+            "EQ31": [("GF_KMEASURE", {"k": kk}) for kk in range(1, k + 1)],
+            "EQ11": [("GF_SOL_LEN", {})],
+            "EQ_2MEASURE_P": [("GF_2MEASURE_P", {})],
+            "GF4": [("GF_SOL_LEN", {}), ("GF_A_TYPES", {})],
+            "GF5": [("GF_SOL_LEN", {}), ("GF_B", {})],
+        }[name]
+        walked, built = [], []
+        real, real_build = verify_module.partitions, qseries.build
 
         def counted(n, **family):
             walked.append(n)
             return real(n, **family)
 
+        def recorded(name_, order, **params):
+            built.append((name_, params))
+            return real_build(name_, order, **params)
+
         monkeypatch.setattr(verify_module, "partitions", counted)
+        monkeypatch.setattr(qseries, "build", recorded)
         assert verify(name, **bounds)
         assert walked == list(range(bounds["order"] + 1))
+        assert built == builds
 
     def test_lemma51_walks_each_rest_size_once(self, monkeypatch):
         # one capped walk of each rest size serves every largest part m,
@@ -793,6 +810,11 @@ class TestReports:
     def test_line_format(self):
         report = VerificationReport("THM12", {"nmax": 26})
         assert report.line() == "THM12 n<=26 PASS"
+        report = VerificationReport("EQ31", {"order": 22, "k": 3})
+        assert report.line() == "EQ31 order<=22 k<=3 PASS"
+        # a param outside the label table is an upper bound under its own name
+        report = VerificationReport("X", {"depth": 4, "nmax": 2})
+        assert report.line() == "X depth<=4 n<=2 PASS"
 
     def test_fail_carries_witness(self):
         report = VerificationReport("X", {"order": 3}, witness="q^1: 0 != 1")
